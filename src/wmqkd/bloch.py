@@ -132,15 +132,6 @@ def expectation(p: Projector, s: BlochState) -> float:
     return 0.5 * (1.0 + n[0] * s.r_x + n[2] * s.r_z)
 
 
-def expectation_xz(sign, angle, r_x, r_z):
-    """Vectorised <H(sign, angle)> = (1 +- r_x sin(pi/4+phi) + r_z cos(pi/4+phi))/2.
-
-    ``angle`` is pi/4 + phi (the total axis angle from Z); ``sign`` is +-1.
-    Broadcasts over arrays.
-    """
-    return 0.5 * (1.0 + sign * np.sin(angle) * r_x + np.cos(angle) * r_z)
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """Unital qubit channel: rotation in the X-Z plane, then uniform shrink.

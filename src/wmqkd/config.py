@@ -1,112 +1,86 @@
 """Run-configuration text format: INI sections mirroring ProtocolConfig.
 
-Unknown sections or keys are hard errors (a misspelled security threshold must
-not silently fall back to a default); missing keys take the documented
-defaults.  See DEFAULT_CONFIG for the full schema with the default values.
+Sections, keys, value types and defaults are all read off ProtocolConfig: each
+sub-config field is a section, [run] holds n_signals and master_seed, [source]
+the three intensity_probs.  Unknown sections or keys are hard errors (a
+misspelled security threshold must not silently fall back to a default).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
+import re
+from dataclasses import fields, is_dataclass, replace
+from types import NoneType
+from typing import get_args, get_type_hints
 
-from .adversary import AttackConfig
-from .bloch import ChannelModel
-from .estimation import EstimationThresholds
 from .harness import ProtocolConfig
-from .keyrate import DecoyConfig, SystemParams
-from .pointer import PointerConfig
 
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries a line/field diagnostic."""
 
 
-DEFAULT_CONFIG = """\
-# wmqkd run configuration (all keys optional; unknown keys are errors)
+_DEFAULTS = ProtocolConfig()
+_SOURCE_KEYS = ("p_signal", "p_decoy", "p_vacuum")
 
-[run]
-n_signals = 2000000
-master_seed = 20170109
 
-[pointer]
-g = 0.05
-sigma_md = 1.0
-sigma_phi = 0.0
-bias_phi = 0.0
+def _parse_types(cls, names) -> dict[str, type]:
+    """Key -> type its text is parsed as; an optional `float | None` parses as float."""
+    hints = get_type_hints(cls)
+    return {name: next((t for t in get_args(hints[name]) if t is not NoneType), hints[name])
+            for name in names}
 
-[channel]
-depolarizing_prob = 0.0
-rotation_theta = 0.0
 
-[source]
-p_signal = 0.7
-p_decoy = 0.2
-p_vacuum = 0.1
+def _schema() -> dict[str, dict[str, type]]:
+    """INI section -> key -> parse type, in ProtocolConfig field order."""
+    schema = {"run": _parse_types(ProtocolConfig, ("n_signals", "master_seed"))}
+    for f in fields(ProtocolConfig):
+        sub = getattr(_DEFAULTS, f.name)
+        if f.name == "intensity_probs":
+            schema["source"] = dict.fromkeys(_SOURCE_KEYS, float)
+        elif is_dataclass(sub):
+            schema[f.name] = _parse_types(type(sub), [g.name for g in fields(sub)])
+    return schema
 
-[system]
-eta_d = 1.0
-y0 = 6e-6
-loss_db_per_km = 0.2
-distance_km = 0.0
-f_ec = 1.22
-e_d = 0.015
-q = 0.5
 
-[decoy]
-mu = 0.48
-nu = 0.05
+_SCHEMA = _schema()
 
-[thresholds]
-delta_sec = 0.11
-# g_sec defaults to 1.2 * pointer.g, sigma_sec_sq to (1.1 * sigma_md)^2
-variance_equality_significance = 0.01
-nonneg_z = 3.0
-sigma_phi_upper = 0.0
 
-[attack]
-strategy = none
-p_basis = 0.5
-p_h = 0.5
-# alpha / alpha_x / alpha_z / g_eve / sigma_eve stay unset unless given
-phi = 0.0
-phi_prime = 0.0
-"""
+def _section_values(cfg: ProtocolConfig, section: str) -> dict:
+    if section == "source":
+        return dict(zip(_SOURCE_KEYS, cfg.intensity_probs))
+    owner = cfg if section == "run" else getattr(cfg, section)
+    return {key: getattr(owner, key) for key in _SCHEMA[section]}
 
-_SCHEMA = {
-    "run": {"n_signals": int, "master_seed": int},
-    "pointer": {"g": float, "sigma_md": float, "sigma_phi": float, "bias_phi": float},
-    "channel": {"depolarizing_prob": float, "rotation_theta": float},
-    "source": {"p_signal": float, "p_decoy": float, "p_vacuum": float},
-    "system": {"eta_d": float, "y0": float, "loss_db_per_km": float,
-               "distance_km": float, "f_ec": float, "e_d": float, "q": float},
-    "decoy": {"mu": float, "nu": float},
-    "thresholds": {"delta_sec": float, "g_sec": float, "sigma_sec_sq": float,
-                   "variance_equality_significance": float, "nonneg_z": float,
-                   "sigma_phi_upper": float},
-    "attack": {"strategy": str, "p_basis": float, "p_h": float, "alpha": float,
-               "alpha_x": float, "alpha_z": float, "g_eve": float,
-               "sigma_eve": float, "phi": float, "phi_prime": float},
-}
+
+def _render(cfg: ProtocolConfig) -> str:
+    lines = [
+        "# wmqkd run configuration (all keys optional; unknown keys are errors)",
+        "# A key shown as '# key =' is unset: [thresholds] g_sec / sigma_sec_sq and",
+        "# [attack] g_eve / sigma_eve then follow the [pointer] device at run time.",
+    ]
+    for section in _SCHEMA:
+        lines.append(f"\n[{section}]")
+        for key, value in _section_values(cfg, section).items():
+            lines.append(f"# {key} =" if value is None else f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+DEFAULT_CONFIG = _render(_DEFAULTS)
 
 
 def _line_of(text: str, section: str, key: str | None) -> int:
     """Best-effort line number of a section header or key for diagnostics."""
-    want_section = f"[{section}]"
-    in_section = key is None
+    header = None
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if key is None and stripped == want_section:
-            return i
-        if stripped == want_section:
-            in_section = True
-            continue
-        if in_section and stripped.startswith("["):
-            break
-        if in_section and key is not None:
-            name = stripped.split("=", 1)[0].strip()
-            if name == key:
+        if stripped.startswith("["):
+            header = stripped
+            if key is None and header == f"[{section}]":
                 return i
+        elif header == f"[{section}]" and re.split("[=:]", stripped, maxsplit=1)[0].strip() == key:
+            return i
     return 0
 
 
@@ -117,68 +91,28 @@ def parse_config_text(text: str) -> ProtocolConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    values: dict[str, dict] = {}
+    given: dict[str, dict] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(
                 f"line {_line_of(text, section, None)}: unknown section [{section}]")
-        values[section] = {}
+        given[section] = {}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(
                     f"line {_line_of(text, section, key)}: unknown key {key!r} in [{section}]")
-            caster = _SCHEMA[section][key]
             try:
-                values[section][key] = caster(raw)
+                given[section][key] = _SCHEMA[section][key](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"line {_line_of(text, section, key)}: bad value for "
                     f"[{section}] {key}: {raw!r} ({exc})") from exc
 
-    def section(name):
-        return values.get(name, {})
-
     try:
-        pointer = PointerConfig(
-            g=section("pointer").get("g", 0.05),
-            sigma_md=section("pointer").get("sigma_md", 1.0),
-            sigma_phi=section("pointer").get("sigma_phi", 0.0),
-            bias_phi=section("pointer").get("bias_phi", 0.0),
-        )
-        channel = ChannelModel(
-            depolarizing_prob=section("channel").get("depolarizing_prob", 0.0),
-            rotation_theta=section("channel").get("rotation_theta", 0.0),
-        )
-        probs = (
-            section("source").get("p_signal", 0.7),
-            section("source").get("p_decoy", 0.2),
-            section("source").get("p_vacuum", 0.1),
-        )
-        system = SystemParams(
-            eta_d=section("system").get("eta_d", 1.0),
-            y0=section("system").get("y0", 6e-6),
-            loss_db_per_km=section("system").get("loss_db_per_km", 0.2),
-            distance_km=section("system").get("distance_km", 0.0),
-            f_ec=section("system").get("f_ec", 1.22),
-            e_d=section("system").get("e_d", 0.015),
-            q=section("system").get("q", 0.5),
-        )
-        decoy = DecoyConfig(
-            mu=section("decoy").get("mu", 0.48),
-            nu=section("decoy").get("nu", 0.05),
-        )
-        th = dict(section("thresholds"))
-        thresholds = EstimationThresholds.for_device(pointer.g, pointer.sigma_md, **th) if th else None
-        at = dict(section("attack"))
-        attack = AttackConfig(**at) if at else AttackConfig()
-        return ProtocolConfig(
-            n_signals=section("run").get("n_signals", 2_000_000),
-            master_seed=section("run").get("master_seed", 20170109),
-            pointer=pointer, channel=channel, attack=attack, system=system,
-            decoy=decoy, intensity_probs=probs, thresholds=thresholds,
-        )
-    except ConfigError:
-        raise
+        probs = _section_values(_DEFAULTS, "source") | given.pop("source", {})
+        run = given.pop("run", {})
+        subs = {name: replace(getattr(_DEFAULTS, name), **values) for name, values in given.items()}
+        return replace(_DEFAULTS, **run, **subs, intensity_probs=tuple(probs.values()))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

@@ -21,7 +21,7 @@ boundary the raw check would fail on mean-zero noise; exact-expectation inputs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as sps
@@ -375,13 +375,14 @@ class EstimationThresholds:
     """Security thresholds for the estimation subroutine.
 
     delta_sec defaults to the 11% bound.  g_sec and sigma_sec_sq have no
-    prescribed values; the `for_device` factory installs 1.2x the nominal
-    coupling and (1.1 sigma_md)^2 (physical pointer-variance units).
+    prescribed values: left None, `with_device_defaults` resolves them against
+    the device to 1.2x the nominal coupling and (1.1 sigma_md)^2 (physical
+    pointer-variance units).
     """
 
     delta_sec: float = 0.11
-    g_sec: float = 1.2
-    sigma_sec_sq: float = 1.21
+    g_sec: float | None = None
+    sigma_sec_sq: float | None = None
     variance_equality_significance: float = 0.01
     nonneg_z: float = 3.0
     sigma_phi_upper: float = 0.0
@@ -389,16 +390,21 @@ class EstimationThresholds:
     def __post_init__(self):
         if not 0.0 < self.delta_sec < 0.5:
             raise ValueError(f"delta_sec must be in (0, 0.5), got {self.delta_sec}")
-        if self.g_sec <= 0 or self.sigma_sec_sq <= 0:
+        if any(v is not None and v <= 0 for v in (self.g_sec, self.sigma_sec_sq)):
             raise ValueError("g_sec and sigma_sec_sq must be positive")
         if not 0.0 < self.variance_equality_significance < 1.0:
             raise ValueError("variance_equality_significance must be in (0, 1)")
 
+    def with_device_defaults(self, g: float, sigma_md: float) -> "EstimationThresholds":
+        """Fill g_sec / sigma_sec_sq left None from the device's g and sigma_md."""
+        return replace(
+            self,
+            g_sec=1.2 * g if self.g_sec is None else self.g_sec,
+            sigma_sec_sq=(1.1 * sigma_md) ** 2 if self.sigma_sec_sq is None else self.sigma_sec_sq)
+
     @classmethod
     def for_device(cls, g: float, sigma_md: float, **kwargs) -> "EstimationThresholds":
-        kwargs.setdefault("g_sec", 1.2 * g)
-        kwargs.setdefault("sigma_sec_sq", (1.1 * sigma_md) ** 2)
-        return cls(**kwargs)
+        return cls(**kwargs).with_device_defaults(g, sigma_md)
 
 
 @dataclass(frozen=True)
@@ -514,6 +520,8 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
        tests over all 28 cell pairs, Bonferroni-corrected at the configured
        significance.
     """
+    if thresholds.g_sec is None or thresholds.sigma_sec_sq is None:
+        raise ValueError("g_sec / sigma_sec_sq not set; use with_device_defaults first")
     stats = ConditionedStats(report.cell_mean, report.cell_var, report.cell_count)
     if stats.exact:
         slack_x = slack_z = EXACT_TOL

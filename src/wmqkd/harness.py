@@ -43,7 +43,9 @@ from .keyrate import (
     DecoyConfig,
     SystemParams,
     bb84_decoy_chain,
+    clip_error,
     q1_lower,
+    smoothed_rate,
     wm_decoy_chain,
     wm_decoy_rate,
 )
@@ -100,7 +102,7 @@ class ProtocolConfig:
     system: SystemParams = field(default_factory=lambda: SystemParams(eta_d=1.0, distance_km=0.0))
     decoy: DecoyConfig = field(default_factory=DecoyConfig)
     intensity_probs: tuple = (0.7, 0.2, 0.1)
-    thresholds: EstimationThresholds | None = None
+    thresholds: EstimationThresholds = field(default_factory=EstimationThresholds)
 
     def __post_init__(self):
         if self.n_signals < 1:
@@ -111,9 +113,8 @@ class ProtocolConfig:
             raise ValueError(f"intensity_probs must sum to 1, got {self.intensity_probs}")
 
     def resolved_thresholds(self) -> EstimationThresholds:
-        if self.thresholds is not None:
-            return self.thresholds
-        return EstimationThresholds.for_device(self.pointer.g, self.pointer.sigma_md)
+        """Thresholds with g_sec / sigma_sec_sq left unset resolved against the pointer."""
+        return self.thresholds.with_device_defaults(self.pointer.g, self.pointer.sigma_md)
 
 
 @dataclass
@@ -146,13 +147,34 @@ def _draw_intensities(master_seed: int, n: int, probs) -> np.ndarray:
     return out
 
 
-def _source_bloch(s_a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r = np.zeros((len(s_a), 3))
+def _alice_source(master_seed: int, n: int):
+    """Alice's bits, basis flags and the Bloch vectors of her BB84 states."""
+    s_a = stage_bits(master_seed, "alice_bits", n)
+    b = stage_bits(master_seed, "alice_basis", n)
+    r = np.zeros((n, 3))
     sign = np.where(s_a == 0, 1.0, -1.0)
     z_mask = b == 0
     r[z_mask, 2] = sign[z_mask]
     r[~z_mask, 0] = sign[~z_mask]
-    return r
+    return s_a, b, r
+
+
+def _bob_measure(r: np.ndarray, h: np.ndarray, bias: np.ndarray,
+                 pointer: PointerConfig, master_seed: int):
+    """Weak measurement of H(h) rotated by `bias` on every signal, then a strong Z.
+
+    Returns the pointer readings and Bob's strong-measurement bits.
+    """
+    sign = np.where(h == 0, 1.0, -1.0)
+    angle = math.pi / 4 + bias
+    omega = np.empty(len(h))
+    posterior = np.empty_like(r)
+    for lo, hi, gen in stage_blocks(master_seed, "bob_wm", len(h)):
+        omega[lo:hi], posterior[lo:hi] = measure_array(
+            r[lo:hi], sign[lo:hi], angle[lo:hi], pointer, gen)
+    u_strong = stage_uniform(master_seed, "bob_strong", len(h))
+    s_b = np.where(u_strong < 0.5 * (1.0 - posterior[:, 2]), 1, 0).astype(np.int8)
+    return omega, s_b
 
 
 def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, master_seed: int) -> np.ndarray:
@@ -176,10 +198,8 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
 
     # Alice
-    s_a = stage_bits(seed, "alice_bits", n)
-    b = stage_bits(seed, "alice_basis", n)
+    s_a, b, r = _alice_source(seed, n)
     intensity = _draw_intensities(seed, n, cfg.intensity_probs)
-    r = _source_bloch(s_a, b)
     timings["source"] = time.perf_counter() - tick; tick = time.perf_counter()
 
     # channel
@@ -211,15 +231,7 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
 
     # Bob: one weak measurement per signal, then a strong Z measurement
     h = stage_bits(seed, "bob_observable", n)
-    sign = np.where(h == 0, 1.0, -1.0)
-    angle = math.pi / 4 + _bob_bias_angles(h, attack, seed)
-    omega = np.zeros(n)
-    posterior = r.copy()
-    for lo, hi, gen in stage_blocks(seed, "bob_wm", n):
-        omega[lo:hi], posterior[lo:hi] = measure_array(
-            r[lo:hi], sign[lo:hi], angle[lo:hi], cfg.pointer, gen)
-    u_strong = stage_uniform(seed, "bob_strong", n)
-    s_b = np.where(u_strong < 0.5 * (1.0 - posterior[:, 2]), 1, 0).astype(np.int8)
+    omega, s_b = _bob_measure(r, h, _bob_bias_angles(h, attack, seed), cfg.pointer, seed)
 
     # dark windows carry a photonless pointer record centered at 0 and a coin-flip bit
     dark_omega = np.zeros(n)
@@ -255,7 +267,7 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     key_rate = 0.0
     if not abort:
         key_rate = _estimated_key_rate(report, cfg)
-    ideal = max(1.0 - 2.0 * binary_entropy(min(max(report.qber, 0.0), 0.5)), 0.0)
+    ideal = smoothed_rate(report.qber)
     undetected = (attack.strategy != "none") and not abort and (eve_known or 0.0) > 0.99
     timings["rates"] = time.perf_counter() - tick
 
@@ -273,21 +285,20 @@ def _estimated_key_rate(report: EstimationReport, cfg: ProtocolConfig) -> float:
     """Decoy rate evaluated on the run's estimated gains and error rates."""
     gains = report.gains
     q_mu, q_nu, q_vac = gains.get("signal", 0.0), gains.get("decoy", 0.0), gains.get("vacuum", 0.0)
-    clip = lambda x: min(max(x, 0.0), 0.5)
     if q_nu <= 0.0 or q_mu <= 0.0:
         # no decoy data: fall back to the idealized rate at the estimated QBER
-        return max(1.0 - 2.0 * binary_entropy(clip(report.qber)), 0.0)
+        return smoothed_rate(report.qber)
     try:
         q1 = q1_lower(q_mu, q_nu, q_vac, cfg.decoy)
     except ValueError:
         return 0.0
     if q1 <= 0.0:
         return 0.0
-    dz_mu = clip(report.delta_z_corrected + (1.0 - report.dark_fraction_signal) * report.delta_wm_estimate)
+    dz_mu = clip_error(report.delta_z_corrected + (1.0 - report.dark_fraction_signal) * report.delta_wm_estimate)
     dx_nu = report.delta_x_decoy_corrected
     if dx_nu is None:
         dx_nu = report.delta_x_corrected
-    dx_nu = clip(dx_nu + (1.0 - report.dark_fraction_decoy) * report.delta_wm_estimate)
+    dx_nu = clip_error(dx_nu + (1.0 - report.dark_fraction_decoy) * report.delta_wm_estimate)
     return wm_decoy_rate(q1, q_mu, dz_mu, dx_nu, 0.5, q_nu, q_vac, cfg.system, cfg.decoy)
 
 
@@ -298,21 +309,11 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     Every signal clicks, all pulses are signal intensity; this isolates the
     estimation statistics from the detection model.
     """
-    s_a = stage_bits(master_seed, "alice_bits", n)
-    b = stage_bits(master_seed, "alice_basis", n)
+    s_a, b, r = _alice_source(master_seed, n)
     h = stage_bits(master_seed, "bob_observable", n)
-    r = _source_bloch(s_a, b)
     rx, ry, rz = channel.apply_array(r[:, 0], r[:, 1], r[:, 2])
     r = np.stack([rx, ry, rz], axis=-1)
-    sign = np.where(h == 0, 1.0, -1.0)
-    angle = np.full(n, math.pi / 4)
-    omega = np.empty(n)
-    posterior = np.empty_like(r)
-    for lo, hi, gen in stage_blocks(master_seed, "bob_wm", n):
-        omega[lo:hi], posterior[lo:hi] = measure_array(
-            r[lo:hi], sign[lo:hi], angle[lo:hi], pointer, gen)
-    u_strong = stage_uniform(master_seed, "bob_strong", n)
-    s_b = np.where(u_strong < 0.5 * (1.0 - posterior[:, 2]), 1, 0).astype(np.int8)
+    omega, s_b = _bob_measure(r, h, np.zeros(n), pointer, master_seed)
     intensity = np.full(n, INTENSITY_SIGNAL, dtype=np.uint8)
     return SignalLog(s_a, b, h, omega, s_b, intensity)
 
@@ -391,7 +392,7 @@ def set_config_axis(cfg: ProtocolConfig, axis: str, value) -> ProtocolConfig:
         if not hasattr(cfg, section):
             raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
         sub = getattr(cfg, section)
-        if sub is None or not hasattr(sub, fieldname):
+        if not hasattr(sub, fieldname):
             raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
         return replace(cfg, **{section: replace(sub, **{fieldname: value})})
     raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
@@ -405,16 +406,15 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
     for value in values:
         cfg = set_config_axis(base, axis, value)
         row = {"axis": axis, "value": float(value)}
-        clip = lambda x: min(max(x, 0.0), 0.5)
         if mode == "analytic":
             report = analytic_report(cfg)
             row.update(
                 delta_x=report.rates.delta_x, delta_z=report.rates.delta_z,
                 delta_b=report.rates.delta_b, qber=report.qber,
                 abort=report.abort,
-                rate_smoothed=max(1.0 - 2.0 * binary_entropy(clip(report.qber)), 0.0),
-                rate_split=max(1.0 - binary_entropy(clip(report.delta_x_corrected))
-                               - binary_entropy(clip(report.delta_z_corrected)), 0.0),
+                rate_smoothed=smoothed_rate(report.qber),
+                rate_split=max(1.0 - binary_entropy(clip_error(report.delta_x_corrected))
+                               - binary_entropy(clip_error(report.delta_z_corrected)), 0.0),
             )
             delta_wm = wm_disturbance_error(cfg.pointer.g, cfg.pointer.sigma_md)
             row["rate_wm_decoy"] = wm_decoy_chain(cfg.system, cfg.decoy, delta_wm).rate
@@ -446,8 +446,7 @@ def fig3_dataset(g_over_sigma=None, channel_errors=(0.0, 0.02, 0.05, 0.08)):
     for e in channel_errors:
         for gs in g_over_sigma:
             qber = e + wm_disturbance_error(gs, 1.0)
-            rate = max(1.0 - 2.0 * binary_entropy(qber), 0.0)
-            rows.append([float(gs), float(e), rate])
+            rows.append([float(gs), float(e), smoothed_rate(qber)])
     return header, rows
 
 

@@ -102,14 +102,31 @@ def q1_lower(q_mu: float, q_nu: float, q_vac: float, cfg: DecoyConfig) -> float:
     return max(value, 0.0)
 
 
+def clip_error(x: float) -> float:
+    """Clamp an error rate into [0, 1/2]."""
+    return min(max(x, 0.0), 0.5)
+
+
+def smoothed_rate(qber: float) -> float:
+    """Idealized rate max(1 - 2 H2(qber), 0), qber clamped into [0, 1/2]."""
+    return max(1.0 - 2.0 * binary_entropy(clip_error(qber)), 0.0)
+
+
+def _eps1_bound(eps_nu: float, q_nu: float, eps_vac: float, q_vac: float,
+                q1_l: float, cfg: DecoyConfig) -> tuple[float, bool]:
+    """eps_1^U clamped to [0, 1/2] (Q_1^L > 0), and whether the clamp fired."""
+    value = (eps_nu * q_nu * math.exp(cfg.nu) - eps_vac * q_vac) / (
+        q1_l * math.exp(cfg.mu) * cfg.nu / cfg.mu)
+    bound = clip_error(value)
+    return bound, bound != value
+
+
 def eps1_upper(eps_nu: float, q_nu: float, eps_vac: float, q_vac: float,
                q1_l: float, cfg: DecoyConfig) -> float:
     """Upper bound on the single-photon bit error rate, clamped to [0, 1/2]."""
     if q1_l <= 0:
         raise ValueError("Q_1^L must be positive (the rate is 0 otherwise)")
-    value = (eps_nu * q_nu * math.exp(cfg.nu) - eps_vac * q_vac) / (
-        q1_l * math.exp(cfg.mu) * cfg.nu / cfg.mu)
-    return min(max(value, 0.0), 0.5)
+    return _eps1_bound(eps_nu, q_nu, eps_vac, q_vac, q1_l, cfg)[0]
 
 
 def decoy_rate(q1_l: float, eps1_u: float, q_mu: float, eps_mu: float,
@@ -129,9 +146,7 @@ def wm_decoy_rate(q1_l: float, q_mu: float, delta_z_mu: float, delta_x_nu: float
     vacuum X errors, clamped to [0, 1/2].
     """
     delta_x1 = eps1_upper(delta_x_nu, q_nu, delta_x_vac, q_vac, q1_l, cfg)
-    rate = params.q * (q1_l * (1.0 - binary_entropy(delta_x1))
-                       - q_mu * params.f_ec * binary_entropy(delta_z_mu))
-    return max(rate, 0.0)
+    return decoy_rate(q1_l, delta_x1, q_mu, delta_z_mu, params)
 
 
 @dataclass(frozen=True)
@@ -152,7 +167,7 @@ def idealized_rate(delta_x: float, delta_z: float) -> IdealizedRate:
         if not 0.0 <= value <= 0.5:
             raise ValueError(f"{name} must be in [0, 1/2], got {value}")
     delta_b = 0.5 * (delta_x + delta_z)
-    smoothed = max(1.0 - 2.0 * binary_entropy(delta_b), 0.0)
+    smoothed = smoothed_rate(delta_b)
     split = max(1.0 - binary_entropy(delta_x) - binary_entropy(delta_z), 0.0)
     return IdealizedRate(smoothed, split)
 
@@ -194,12 +209,9 @@ def bb84_decoy_chain(params: SystemParams, cfg: DecoyConfig,
     q1 = q1_lower(q_mu, q_nu, q_vac, cfg)
     if q1 <= 0.0:
         return DecoyRateBreakdown(q_mu, q_nu, q_vac, 0.0, eps_mu, eps_nu, 0.5, 0.0, True)
-    raw_eps1 = (eps_nu * q_nu * math.exp(cfg.nu) - 0.5 * q_vac) / (
-        q1 * math.exp(cfg.mu) * cfg.nu / cfg.mu)
-    eps1 = min(max(raw_eps1, 0.0), 0.5)
+    eps1, clamped = _eps1_bound(eps_nu, q_nu, 0.5, q_vac, q1, cfg)
     rate = decoy_rate(q1, eps1, q_mu, eps_mu, params)
-    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, eps_mu, eps_nu, eps1,
-                              rate, eps1 != raw_eps1)
+    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, eps_mu, eps_nu, eps1, rate, clamped)
 
 
 def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float = 0.0,
@@ -220,12 +232,9 @@ def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float = 0.0
     q1 = q1_lower(q_mu, q_nu, q_vac, cfg)
     if q1 <= 0.0:
         return DecoyRateBreakdown(q_mu, q_nu, q_vac, 0.0, dz_mu, dx_nu, 0.5, 0.0, True)
-    raw_dx1 = (dx_nu * q_nu * math.exp(cfg.nu) - 0.5 * q_vac) / (
-        q1 * math.exp(cfg.mu) * cfg.nu / cfg.mu)
-    dx1 = min(max(raw_dx1, 0.0), 0.5)
-    rate = wm_decoy_rate(q1, q_mu, dz_mu, dx_nu, 0.5, q_nu, q_vac, params, cfg)
-    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, dz_mu, dx_nu, dx1,
-                              rate, dx1 != raw_dx1)
+    dx1, clamped = _eps1_bound(dx_nu, q_nu, 0.5, q_vac, q1, cfg)
+    rate = decoy_rate(q1, dx1, q_mu, dz_mu, params)
+    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, dz_mu, dx_nu, dx1, rate, clamped)
 
 
 def optimize_intensities(params: SystemParams, mu_grid, nu_grid,

@@ -93,11 +93,6 @@ def wm_disturbance_error(g: float, sigma: float) -> float:
     return -0.25 * math.expm1(-(g * g) / (8.0 * sigma * sigma))
 
 
-def pointer_mean(p_expectation: float, g: float) -> float:
-    """Analytic mean reading g <P> (physical units)."""
-    return g * p_expectation
-
-
 def pointer_variance(p_expectation: float, g: float, sigma: float) -> float:
     """Analytic reading variance sigma^2 + g^2 <P>(1-<P>) (physical units)."""
     return sigma * sigma + g * g * p_expectation * (1.0 - p_expectation)

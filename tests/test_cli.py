@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from wmqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, main
 from wmqkd.config import ConfigError, DEFAULT_CONFIG, parse_config_text
 from wmqkd.estimation import write_signal_log
-from wmqkd.harness import channel_estimation_log
+from wmqkd.harness import ProtocolConfig, channel_estimation_log, set_config_axis, sweep
 from wmqkd.bloch import ChannelModel
 from wmqkd.pointer import PointerConfig
 
@@ -41,6 +43,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"line 3: unknown key 'gg'"):
             parse_config_text(bad)
 
+    def test_colon_delimited_key_diagnostic(self):
+        with pytest.raises(ConfigError, match=r"line 2: bad value for \[pointer\] g"):
+            parse_config_text("[pointer]\ng: fast\n")
+
     def test_unknown_section_diagnostic(self):
         with pytest.raises(ConfigError, match=r"unknown section \[detector\]"):
             parse_config_text("[detector]\nefficiency = 1\n")
@@ -73,6 +79,32 @@ class TestConfigParsing:
         assert th.delta_sec == 0.09
         assert th.g_sec == pytest.approx(1.2 * cfg.pointer.g)
         assert th.sigma_sec_sq == pytest.approx((1.1 * cfg.pointer.sigma_md) ** 2)
+
+    def test_default_text_is_library_default(self):
+        assert parse_config_text(DEFAULT_CONFIG) == ProtocolConfig()
+
+    def test_readme_shows_default_config(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert DEFAULT_CONFIG in readme.read_text()
+
+    def test_cli_and_library_g_sweeps_agree(self, tmp_path):
+        values = [0.05, 0.1, 0.2]
+        code = main(["--out", str(tmp_path), "sweep", "--axis", "pointer.g_over_sigma",
+                     "--values", ",".join(map(str, values))])
+        assert code == EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        column = lines[0].split(",").index("abort")
+        cli_abort = [line.split(",")[column] == "true" for line in lines[1:]]
+        library = sweep(ProtocolConfig(), "pointer.g_over_sigma", values)
+        assert cli_abort == [row["abort"] for row in library]
+
+    def test_explicit_g_sec_survives_g_sweep(self):
+        cfg = parse_config_text("[thresholds]\ng_sec = 0.07\n")
+        for value in (0.05, 0.1, 0.2):
+            swept = set_config_axis(cfg, "pointer.g_over_sigma", value)
+            assert swept.resolved_thresholds().g_sec == 0.07
+        rows = sweep(cfg, "pointer.g_over_sigma", [0.05, 0.1, 0.2])
+        assert [row["abort"] for row in rows] == [False, True, True]
 
 
 class TestRunCommand:

@@ -295,6 +295,12 @@ class TestVerification:
         assert not v.variances_equal
         assert v.max_variance_ratio == pytest.approx(1.5625, rel=0.05)
 
+    def test_unresolved_device_thresholds_rejected(self):
+        stats = exact_channel_stats(ChannelModel())
+        with pytest.raises(ValueError, match="with_device_defaults"):
+            report_from_stats(stats, EstimationThresholds(),
+                              {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0})
+
     def test_abort_on_high_qber(self):
         report = self.honest_report(channel=ChannelModel(depolarizing_prob=0.4))
         assert report.abort
