@@ -193,34 +193,6 @@ def merge_moments(a: ConditionedStats, b: ConditionedStats) -> ConditionedStats:
     return ConditionedStats(mean, var, n)
 
 
-def condition_and_average_partitioned(log: SignalLog, n_parts: int,
-                                      intensity: int | None = INTENSITY_SIGNAL) -> ConditionedStats:
-    """Fold the conditioning over contiguous partitions (fixed plan) and merge."""
-    bounds = np.linspace(0, len(log), n_parts + 1).astype(int)
-    acc = None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = log.subset(np.arange(lo, hi))
-        mask = np.ones(hi - lo, dtype=bool) if intensity is None else part.intensity == intensity
-        mean = np.zeros((2, 2, 2))
-        var = np.zeros((2, 2, 2))
-        count = np.zeros((2, 2, 2))
-        idx = (part.s_a.astype(np.int64) * 4 + part.b * 2 + part.h)[mask]
-        omega = part.omega[mask]
-        counts = np.bincount(idx, minlength=8).astype(float)
-        sums = np.bincount(idx, weights=omega, minlength=8)
-        means = np.divide(sums, counts, out=np.zeros(8), where=counts > 0)
-        m2 = np.bincount(idx, weights=(omega - means[idx]) ** 2, minlength=8)
-        mean[:] = means.reshape(2, 2, 2)
-        var[:] = np.divide(m2, np.maximum(counts - 1.0, 1.0),
-                           out=np.zeros(8), where=counts > 1).reshape(2, 2, 2)
-        count[:] = counts.reshape(2, 2, 2)
-        piece = ConditionedStats(mean, var, count)
-        acc = piece if acc is None else merge_moments(acc, piece)
-    if acc is None or np.any(acc.count < 2):
-        raise EstimationError("empty or singleton conditioning cell after merge")
-    return acc
-
-
 def exact_stats(mean: np.ndarray, var: np.ndarray) -> ConditionedStats:
     """Exact-expectation statistics (infinite counts) for analytic paths."""
     return ConditionedStats(np.asarray(mean, dtype=float),

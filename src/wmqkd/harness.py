@@ -6,8 +6,10 @@ loss and detection (with dark counts) -> one weak measurement per signal
 estimation subroutine -> key-rate evaluation.  Everything is deterministic
 given the master seed: every random stage draws from its own Philox stream
 keyed by (master_seed, stage tag) and partitioned into fixed 2^16-signal
-counter blocks, so workers that own whole blocks reproduce the serial run
-bit for bit.
+counter blocks.  A run walks those blocks in order and takes each one through
+every stage before the next, so its memory is one block's temporaries plus
+the clicked records; the estimation subroutine then sees exactly the records
+a whole-array run would keep, in the same order.
 
 The analytic mode bypasses sampling: conditioned cell statistics are computed
 in closed form (for an honest device the reading in any cell is the two-branch
@@ -28,9 +30,8 @@ import numpy as np
 from . import adversary as adv
 from .bloch import ChannelModel, apply_channel, bb84_state, binary_entropy
 from .estimation import (
-    INTENSITY_DECOY,
+    INTENSITY_NAMES,
     INTENSITY_SIGNAL,
-    INTENSITY_VACUUM,
     NO_CLICK,
     EstimationReport,
     EstimationThresholds,
@@ -69,21 +70,23 @@ def stage_block_generator(master_seed: int, stage: str, block: int) -> np.random
     return np.random.Generator(bit_gen)
 
 
-def stage_blocks(master_seed: int, stage: str, n: int):
-    """Yield (lo, hi, generator) covering range(n) in fixed-size blocks."""
+def _block_plan(n: int):
+    """Yield (block, size) covering range(n) in fixed BLOCK_SIZE blocks."""
     for block, lo in enumerate(range(0, n, BLOCK_SIZE)):
-        yield lo, min(lo + BLOCK_SIZE, n), stage_block_generator(master_seed, stage, block)
+        yield block, min(BLOCK_SIZE, n - lo)
+
+
+def _block_uniform(master_seed: int, stage: str, block: int, size: int) -> np.ndarray:
+    return stage_block_generator(master_seed, stage, block).random(size)
+
+
+def _block_bits(master_seed: int, stage: str, block: int, size: int) -> np.ndarray:
+    return (_block_uniform(master_seed, stage, block, size) < 0.5).view(np.uint8)
 
 
 def stage_uniform(master_seed: int, stage: str, n: int) -> np.ndarray:
-    out = np.empty(n)
-    for lo, hi, gen in stage_blocks(master_seed, stage, n):
-        out[lo:hi] = gen.random(hi - lo)
-    return out
-
-
-def stage_bits(master_seed: int, stage: str, n: int) -> np.ndarray:
-    return (stage_uniform(master_seed, stage, n) < 0.5).astype(np.uint8)
+    return np.concatenate([_block_uniform(master_seed, stage, block, size)
+                           for block, size in _block_plan(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -138,138 +141,151 @@ class RunResult:
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _draw_intensities(master_seed: int, n: int, probs) -> np.ndarray:
-    u = stage_uniform(master_seed, "intensity", n)
-    edges = np.cumsum(probs)
-    out = np.full(n, INTENSITY_VACUUM, dtype=np.uint8)
-    out[u < edges[1]] = INTENSITY_DECOY
-    out[u < edges[0]] = INTENSITY_SIGNAL
-    return out
-
-
-def _alice_source(master_seed: int, n: int):
-    """Alice's bits, basis flags and the Bloch vectors of her BB84 states."""
-    s_a = stage_bits(master_seed, "alice_bits", n)
-    b = stage_bits(master_seed, "alice_basis", n)
-    r = np.zeros((n, 3))
+def _alice_block(master_seed: int, block: int, size: int):
+    """Alice's bits, basis flags and the Bloch components (x, y, z) of her BB84 states."""
+    s_a = _block_bits(master_seed, "alice_bits", block, size)
+    b = _block_bits(master_seed, "alice_basis", block, size)
     sign = np.where(s_a == 0, 1.0, -1.0)
-    z_mask = b == 0
-    r[z_mask, 2] = sign[z_mask]
-    r[~z_mask, 0] = sign[~z_mask]
-    return s_a, b, r
+    z_basis = b == 0
+    return s_a, b, (np.where(z_basis, 0.0, sign), np.zeros(size), np.where(z_basis, sign, 0.0))
 
 
-def _bob_measure(r: np.ndarray, h: np.ndarray, bias: np.ndarray,
-                 pointer: PointerConfig, master_seed: int):
-    """Weak measurement of H(h) rotated by `bias` on every signal, then a strong Z.
+def _block_intensities(master_seed: int, block: int, size: int, probs) -> np.ndarray:
+    """Intensity class per signal: how many cumulative class probabilities u passed.
 
-    Returns the pointer readings and Bob's strong-measurement bits.
+    The class codes 0, 1, 2 (signal, decoy, vacuum) are the order of `probs`.
+    """
+    u = _block_uniform(master_seed, "intensity", block, size)
+    edges = np.cumsum(probs)
+    return np.add(u >= edges[0], u >= edges[1], dtype=np.uint8)
+
+
+def _bob_block(master_seed: int, block: int, r: np.ndarray, h: np.ndarray,
+               bias: np.ndarray, pointer: PointerConfig):
+    """Weak measurement of H(h) rotated by `bias` on every signal of a block, then a strong Z.
+
+    r holds the (size, 3) Bloch vectors.  Returns the pointer readings and
+    Bob's strong-measurement bits.
     """
     sign = np.where(h == 0, 1.0, -1.0)
-    angle = math.pi / 4 + bias
-    omega = np.empty(len(h))
-    posterior = np.empty_like(r)
-    for lo, hi, gen in stage_blocks(master_seed, "bob_wm", len(h)):
-        omega[lo:hi], posterior[lo:hi] = measure_array(
-            r[lo:hi], sign[lo:hi], angle[lo:hi], pointer, gen)
-    u_strong = stage_uniform(master_seed, "bob_strong", len(h))
-    s_b = np.where(u_strong < 0.5 * (1.0 - posterior[:, 2]), 1, 0).astype(np.int8)
-    return omega, s_b
+    omega, posterior = measure_array(r, sign, math.pi / 4 + bias, pointer,
+                                     stage_block_generator(master_seed, "bob_wm", block))
+    u_strong = _block_uniform(master_seed, "bob_strong", block, len(h))
+    return omega, (u_strong < 0.5 * (1.0 - posterior[:, 2])).view(np.int8)
 
 
-def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, master_seed: int) -> np.ndarray:
+def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, master_seed: int, block: int) -> np.ndarray:
     """Adversarial rotation of the measured projector, selective per Eve's guess."""
-    n = len(h)
     if attack.strategy != "biased_observables":
-        return np.zeros(n)
-    guess_right = stage_uniform(master_seed, "eve_observable_guess", n) < attack.p_h
+        return np.zeros(len(h))
+    guess_right = _block_uniform(master_seed, "eve_observable_guess", block, len(h)) < attack.p_h
     intended = np.where(h == 0, attack.phi, attack.phi_prime)
     swapped = np.where(h == 0, attack.phi_prime, attack.phi)
     return np.where(guess_right, intended, swapped)
 
 
+STAGES = ("source", "channel", "attack", "detection", "measurement", "estimation", "rates")
+
+
 def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
-    """Execute the protocol once; deterministic in cfg.master_seed."""
-    timings = {}
+    """Execute the protocol once; deterministic in cfg.master_seed.
+
+    Every stage runs on one BLOCK_SIZE block at a time.  Only the per-class
+    sent and click counts, the sifted-key tallies and the clicked records
+    outlive a block (every record with keep_log).
+    """
+    timings = dict.fromkeys(STAGES, 0.0)
     tick = time.perf_counter()
-    n = cfg.n_signals
+
+    def lap(stage):
+        nonlocal tick
+        now = time.perf_counter()
+        timings[stage] += now - tick
+        tick = now
+
     seed = cfg.master_seed
     thresholds = cfg.resolved_thresholds()
     attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
+    eve_on_channel = attack.strategy in ("intercept_resend", "fake_wm_strategy1", "fake_wm_strategy2")
+    faked = attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2")
+    # intensity only gates detection since multi-photon pulses are accounted
+    # analytically by the decoy bounds
+    p_photon_by_class = -np.expm1(-cfg.system.eta * np.array([cfg.decoy.mu, cfg.decoy.nu, 0.0]))
+    sent = np.zeros(3, dtype=np.int64)
+    clicks = np.zeros(3, dtype=np.int64)
+    key_len = errors = eve_agreements = 0
+    records = []
+    for block, size in _block_plan(cfg.n_signals):
+        s_a, b, r = _alice_block(seed, block, size)
+        intensity = _block_intensities(seed, block, size, cfg.intensity_probs)
+        lap("source")
 
-    # Alice
-    s_a, b, r = _alice_source(seed, n)
-    intensity = _draw_intensities(seed, n, cfg.intensity_probs)
-    timings["source"] = time.perf_counter() - tick; tick = time.perf_counter()
+        r = np.stack(cfg.channel.apply_array(*r), axis=-1)
+        lap("channel")
 
-    # channel
-    rx, ry, rz = cfg.channel.apply_array(r[:, 0], r[:, 1], r[:, 2])
-    r = np.stack([rx, ry, rz], axis=-1)
-    timings["channel"] = time.perf_counter() - tick; tick = time.perf_counter()
+        eve_bits = None
+        if eve_on_channel:
+            r, _, eve_bits = adv.intercept_resend_array(
+                r, b, attack.p_basis, stage_block_generator(seed, "eve_channel", block),
+                force_z=attack.strategy == "fake_wm_strategy1")
+        lap("attack")
 
-    # Eve on the channel
-    eve_bits = None
-    if attack.strategy in ("intercept_resend", "fake_wm_strategy1", "fake_wm_strategy2"):
-        force_z = attack.strategy == "fake_wm_strategy1"
-        out = np.empty_like(r)
-        eve_bits = np.empty(n, dtype=np.uint8)
-        for lo, hi, gen in stage_blocks(seed, "eve_channel", n):
-            out[lo:hi], _, eve_bits[lo:hi] = adv.intercept_resend_array(
-                r[lo:hi], b[lo:hi], attack.p_basis, gen, force_z=force_z)
-        r = out
-    timings["attack"] = time.perf_counter() - tick; tick = time.perf_counter()
+        p_photon = p_photon_by_class[intensity]
+        u = _block_uniform(seed, "detection", block, size)
+        photon_click = u < p_photon
+        dark_click = (~photon_click) & (u < p_photon + cfg.system.y0)
+        clicked = photon_click | dark_click
+        lap("detection")
 
-    # loss, detection and dark counts; intensity only gates detection since
-    # multi-photon pulses are accounted analytically by the decoy bounds
-    gamma = np.choose(intensity, [cfg.decoy.mu, cfg.decoy.nu, 0.0])
-    p_photon = -np.expm1(-cfg.system.eta * gamma)
-    u = stage_uniform(seed, "detection", n)
-    photon_click = u < p_photon
-    dark_click = (~photon_click) & (u < p_photon + cfg.system.y0)
-    clicked = photon_click | dark_click
-    timings["detection"] = time.perf_counter() - tick; tick = time.perf_counter()
+        # Bob: one weak measurement per signal, then a strong Z measurement
+        h = _block_bits(seed, "bob_observable", block, size)
+        omega, s_b = _bob_block(seed, block, r, h, _bob_bias_angles(h, attack, seed, block), cfg.pointer)
+        if dark_click.any():
+            # dark windows carry a photonless pointer record centered at 0 and
+            # a coin-flip bit; a block without one needs neither stream
+            dark_omega = stage_block_generator(seed, "dark_pointer", block).normal(
+                0.0, cfg.pointer.sigma_md, size)
+            omega = np.where(dark_click, dark_omega, omega)
+            s_b = np.where(dark_click, _block_bits(seed, "dark_bit", block, size).view(np.int8), s_b)
+        if faked:
+            # Eve's agent overwrites the device output for every detection window
+            omega = adv.sample_strategy_fakes(
+                s_a, b, h, attack, cfg.pointer.g, cfg.pointer.sigma_md,
+                stage_block_generator(seed, "eve_fakes", block))
+        s_b = np.where(clicked, s_b, np.int8(NO_CLICK))
+        lap("measurement")
 
-    # Bob: one weak measurement per signal, then a strong Z measurement
-    h = stage_bits(seed, "bob_observable", n)
-    omega, s_b = _bob_measure(r, h, _bob_bias_angles(h, attack, seed), cfg.pointer, seed)
+        clicked_at = np.flatnonzero(clicked)
+        sent += np.bincount(intensity, minlength=3)
+        clicks += np.bincount(intensity[clicked_at], minlength=3)
+        kept = slice(None) if keep_log else clicked_at
+        records.append([column[kept] for column in (s_a, b, h, omega, s_b, intensity)])
+        lap("estimation")
 
-    # dark windows carry a photonless pointer record centered at 0 and a coin-flip bit
-    dark_omega = np.zeros(n)
-    for lo, hi, gen in stage_blocks(seed, "dark_pointer", n):
-        dark_omega[lo:hi] = gen.normal(0.0, cfg.pointer.sigma_md, hi - lo)
-    omega = np.where(dark_click, dark_omega, omega)
-    s_b = np.where(dark_click, (stage_uniform(seed, "dark_bit", n) < 0.5).astype(np.int8), s_b)
+        # ground truth from the oracle's side of the fence
+        sift = clicked & (b == 0)
+        key_len += int(np.count_nonzero(sift))
+        errors += int(np.count_nonzero(sift & (s_a != s_b)))
+        if eve_bits is not None:
+            eve_agreements += int(np.count_nonzero(sift & (eve_bits == s_b)))
+        lap("rates")
 
-    if attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
-        # Eve's agent overwrites the device output for every detection window
-        fake = np.empty(n)
-        for lo, hi, gen in stage_blocks(seed, "eve_fakes", n):
-            fake[lo:hi] = adv.sample_strategy_fakes(
-                s_a[lo:hi], b[lo:hi], h[lo:hi], attack,
-                cfg.pointer.g, cfg.pointer.sigma_md, gen)
-        omega = fake
-    s_b = np.where(clicked, s_b, NO_CLICK).astype(np.int8)
-    timings["measurement"] = time.perf_counter() - tick; tick = time.perf_counter()
+    log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
+    del records  # the log holds copies
+    gains = {name: int(clicks[code]) / int(sent[code]) if sent[code] else 0.0
+             for code, name in INTENSITY_NAMES.items()}
+    report = build_report(log, thresholds, gains=gains)
+    lap("estimation")
 
-    log = SignalLog(s_a, b, h, omega, s_b, intensity)
-    report = build_report(log, thresholds)
-    timings["estimation"] = time.perf_counter() - tick; tick = time.perf_counter()
-
-    # ground truth from the oracle's side of the fence
-    sift = clicked & (b == 0)
-    key_len = int(sift.sum())
-    gt_error = float((s_a[sift] != s_b[sift]).mean()) if key_len else 0.0
-    eve_known = None
-    if eve_bits is not None and key_len:
-        eve_known = float((eve_bits[sift] == s_b[sift]).mean())
-
+    gt_error = errors / key_len if key_len else 0.0
+    eve_known = eve_agreements / key_len if eve_on_channel and key_len else None
     abort = report.abort
     key_rate = 0.0
     if not abort:
         key_rate = _estimated_key_rate(report, cfg)
     ideal = smoothed_rate(report.qber)
     undetected = (attack.strategy != "none") and not abort and (eve_known or 0.0) > 0.99
-    timings["rates"] = time.perf_counter() - tick
+    lap("rates")
 
     return RunResult(
         report=report, abort=abort, qber=report.qber,
@@ -307,15 +323,18 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     """Loss-free estimation bench: weak-measure n signals through a channel.
 
     Every signal clicks, all pulses are signal intensity; this isolates the
-    estimation statistics from the detection model.
+    estimation statistics from the detection model.  The source and Bob's
+    measurement are run_protocol's, block for block.
     """
-    s_a, b, r = _alice_source(master_seed, n)
-    h = stage_bits(master_seed, "bob_observable", n)
-    rx, ry, rz = channel.apply_array(r[:, 0], r[:, 1], r[:, 2])
-    r = np.stack([rx, ry, rz], axis=-1)
-    omega, s_b = _bob_measure(r, h, np.zeros(n), pointer, master_seed)
-    intensity = np.full(n, INTENSITY_SIGNAL, dtype=np.uint8)
-    return SignalLog(s_a, b, h, omega, s_b, intensity)
+    columns = []
+    for block, size in _block_plan(n):
+        s_a, b, r = _alice_block(master_seed, block, size)
+        h = _block_bits(master_seed, "bob_observable", block, size)
+        r = np.stack(channel.apply_array(*r), axis=-1)
+        omega, s_b = _bob_block(master_seed, block, r, h, np.zeros(size), pointer)
+        columns.append((s_a, b, h, omega, s_b))
+    s_a, b, h, omega, s_b = (np.concatenate(column) for column in zip(*columns))
+    return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -108,25 +108,37 @@ def physical_pointer_variance(scaled_variance: float, g: float) -> float:
     return scaled_variance / (g * g)
 
 
+def _kraus_update(r, axis, rn, omega, g, sigma):
+    """Posterior Bloch components from the components of r and of the projector axis.
+
+    rn is the projection r . axis; an axis component given as None is zero.
+    """
+    # branch weights; a <-> P_perp (no shift), b <-> P (shift g)
+    w_a = omega**2
+    w_b = (omega - g) ** 2
+    a2 = np.exp(-w_a / (2.0 * sigma * sigma))
+    b2 = np.exp(-w_b / (2.0 * sigma * sigma))
+    ab = np.exp(-(w_a + w_b) / (4.0 * sigma * sigma))
+    weight_a = a2 * (1.0 - rn)
+    weight_b = b2 * (1.0 + rn)
+    norm = 0.5 * (weight_a + weight_b)
+    out_n = (weight_b - weight_a) / (2.0 * norm)
+    # the axis component is filtered, the perpendicular part scaled by the overlap
+    overlap = ab / norm
+    return [overlap * r_i if a_i is None else out_n * a_i + overlap * (r_i - rn * a_i)
+            for r_i, a_i in zip(r, axis)]
+
+
 def posterior_update(r, axis, omega, g, sigma):
     """Kraus update of Bloch vectors given pointer readings (vectorised).
 
     r: (..., 3) Bloch vectors; axis: (..., 3) unit projector axes; omega:
     readings.  Returns the posterior Bloch vectors, same shape as r.
     """
-    r = np.asarray(r, dtype=float)
-    axis = np.asarray(axis, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    rn = np.sum(r * axis, axis=-1)
-    # branch weights; a <-> P_perp (no shift), b <-> P (shift g)
-    a2 = np.exp(-(omega**2) / (2.0 * sigma * sigma))
-    b2 = np.exp(-((omega - g) ** 2) / (2.0 * sigma * sigma))
-    ab = np.exp(-(omega**2 + (omega - g) ** 2) / (4.0 * sigma * sigma))
-    norm = 0.5 * (a2 * (1.0 - rn) + b2 * (1.0 + rn))
-    out_n = (b2 * (1.0 + rn) - a2 * (1.0 - rn)) / (2.0 * norm)
-    perp = r - rn[..., None] * axis
-    out = out_n[..., None] * axis + (ab / norm)[..., None] * perp
-    return out
+    r = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
+    axis = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
+    rn = r[0] * axis[0] + r[1] * axis[1] + r[2] * axis[2]
+    return np.stack(_kraus_update(r, axis, rn, np.asarray(omega, dtype=float), g, sigma), axis=-1)
 
 
 def sample_readings(p_expectations, g, sigma, rng):
@@ -143,20 +155,17 @@ def measure_array(r, sign, angle, cfg: PointerConfig, rng):
     axis angles (already including any adversarial bias).  Device bias_phi is
     added here, and sigma_phi angle noise is drawn fresh per signal.
     """
-    r = np.asarray(r, dtype=float)
+    r_x, r_y, r_z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
     sign = np.asarray(sign, dtype=float)
     angle = np.asarray(angle, dtype=float) + cfg.bias_phi
     if cfg.sigma_phi > 0:
         angle = angle + rng.normal(0.0, cfg.sigma_phi, angle.shape)
-    axis = np.stack(
-        [sign * np.sin(angle), np.zeros_like(angle), np.cos(angle)], axis=-1
-    )
-    # axis formula absorbs the family sign: H(-) has a mirrored X component
-    rn = np.sum(r * axis, axis=-1)
-    p_exp = 0.5 * (1.0 + rn)
-    omega = sample_readings(p_exp, cfg.g, cfg.sigma_md, rng)
-    posterior = posterior_update(r, axis, omega, cfg.g, cfg.sigma_md)
-    return omega, posterior
+    # axis (sign sin, 0, cos) absorbs the family sign: H(-) has a mirrored X component
+    axis_x, axis_z = sign * np.sin(angle), np.cos(angle)
+    rn = r_x * axis_x + r_z * axis_z
+    omega = sample_readings(0.5 * (1.0 + rn), cfg.g, cfg.sigma_md, rng)
+    posterior = _kraus_update((r_x, r_y, r_z), (axis_x, None, axis_z), rn, omega, cfg.g, cfg.sigma_md)
+    return omega, np.stack(posterior, axis=-1)
 
 
 def sample_weak_measurement(s: BlochState, p: Projector, cfg: PointerConfig, rng) -> PointerSample:

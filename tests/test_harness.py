@@ -1,14 +1,30 @@
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wmqkd.adversary import AttackConfig, strategy1_predicted_qber
+from wmqkd.adversary import (
+    AttackConfig,
+    intercept_resend_array,
+    sample_strategy_fakes,
+    strategy1_predicted_qber,
+)
 from wmqkd.bloch import ChannelModel, binary_entropy, true_error_rates
-from wmqkd.estimation import SignalLog, build_report
+from wmqkd.estimation import (
+    INTENSITY_DECOY,
+    INTENSITY_SIGNAL,
+    INTENSITY_VACUUM,
+    NO_CLICK,
+    EstimationError,
+    SignalLog,
+    build_report,
+)
 from wmqkd.harness import (
     ProtocolConfig,
+    _estimated_key_rate,
     analytic_report,
     channel_estimation_log,
     exact_cell_statistics,
@@ -22,7 +38,8 @@ from wmqkd.harness import (
     sweep,
     write_csv,
 )
-from wmqkd.pointer import wm_disturbance_error
+from wmqkd.keyrate import SystemParams
+from wmqkd.pointer import PointerConfig, wm_disturbance_error
 
 
 def small_cfg(**kwargs):
@@ -68,6 +85,174 @@ class TestRunDeterminism:
         r1 = run_protocol(small_cfg(master_seed=1))
         r2 = run_protocol(small_cfg(master_seed=2))
         assert r1.qber != r2.qber
+
+
+# ---------------------------------------------------------------------------
+# reference: the whole-array run that run_protocol's block loop replaced
+# ---------------------------------------------------------------------------
+
+def _ref_blocks(seed, stage, n):
+    for block, lo in enumerate(range(0, n, 1 << 16)):
+        yield lo, min(lo + (1 << 16), n), stage_block_generator(seed, stage, block)
+
+
+def _ref_bits(seed, stage, n):
+    return (stage_uniform(seed, stage, n) < 0.5).astype(np.uint8)
+
+
+def _ref_measure(r, sign, angle, pointer, rng):
+    """Weak measurement with full (N, 3) axis, projection and Kraus temporaries."""
+    angle = angle + pointer.bias_phi
+    if pointer.sigma_phi > 0:
+        angle = angle + rng.normal(0.0, pointer.sigma_phi, angle.shape)
+    axis = np.stack([sign * np.sin(angle), np.zeros_like(angle), np.cos(angle)], axis=-1)
+    rn = np.sum(r * axis, axis=-1)
+    shifted = rng.random(rn.shape) < 0.5 * (1.0 + rn)
+    omega = rng.normal(0.0, pointer.sigma_md, rn.shape) + np.where(shifted, pointer.g, 0.0)
+    g, sigma = pointer.g, pointer.sigma_md
+    a2 = np.exp(-(omega**2) / (2.0 * sigma * sigma))
+    b2 = np.exp(-((omega - g) ** 2) / (2.0 * sigma * sigma))
+    ab = np.exp(-(omega**2 + (omega - g) ** 2) / (4.0 * sigma * sigma))
+    norm = 0.5 * (a2 * (1.0 - rn) + b2 * (1.0 + rn))
+    out_n = (b2 * (1.0 + rn) - a2 * (1.0 - rn)) / (2.0 * norm)
+    perp = r - rn[..., None] * axis
+    return omega, out_n[..., None] * axis + (ab / norm)[..., None] * perp
+
+
+def _ref_source(seed, n):
+    s_a, b = _ref_bits(seed, "alice_bits", n), _ref_bits(seed, "alice_basis", n)
+    r = np.zeros((n, 3))
+    sign = np.where(s_a == 0, 1.0, -1.0)
+    r[b == 0, 2] = sign[b == 0]
+    r[b == 1, 0] = sign[b == 1]
+    return s_a, b, r
+
+
+def _ref_bob(seed, r, h, bias, pointer):
+    sign = np.where(h == 0, 1.0, -1.0)
+    angle = math.pi / 4 + bias
+    omega, posterior = np.empty(len(h)), np.empty_like(r)
+    for lo, hi, gen in _ref_blocks(seed, "bob_wm", len(h)):
+        omega[lo:hi], posterior[lo:hi] = _ref_measure(r[lo:hi], sign[lo:hi], angle[lo:hi], pointer, gen)
+    u_strong = stage_uniform(seed, "bob_strong", len(h))
+    return omega, np.where(u_strong < 0.5 * (1.0 - posterior[:, 2]), 1, 0).astype(np.int8)
+
+
+def reference_run(cfg):
+    """The protocol run over whole n-length arrays; returns (result fields, full log)."""
+    n, seed = cfg.n_signals, cfg.master_seed
+    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
+    s_a, b, r = _ref_source(seed, n)
+    edges = np.cumsum(cfg.intensity_probs)
+    u = stage_uniform(seed, "intensity", n)
+    intensity = np.full(n, INTENSITY_VACUUM, dtype=np.uint8)
+    intensity[u < edges[1]] = INTENSITY_DECOY
+    intensity[u < edges[0]] = INTENSITY_SIGNAL
+    r = np.stack(cfg.channel.apply_array(r[:, 0], r[:, 1], r[:, 2]), axis=-1)
+    eve_bits = None
+    if attack.strategy in ("intercept_resend", "fake_wm_strategy1", "fake_wm_strategy2"):
+        out, eve_bits = np.empty_like(r), np.empty(n, dtype=np.uint8)
+        for lo, hi, gen in _ref_blocks(seed, "eve_channel", n):
+            out[lo:hi], _, eve_bits[lo:hi] = intercept_resend_array(
+                r[lo:hi], b[lo:hi], attack.p_basis, gen, force_z=attack.strategy == "fake_wm_strategy1")
+        r = out
+    p_photon = -np.expm1(-cfg.system.eta * np.choose(intensity, [cfg.decoy.mu, cfg.decoy.nu, 0.0]))
+    u = stage_uniform(seed, "detection", n)
+    photon_click = u < p_photon
+    dark_click = (~photon_click) & (u < p_photon + cfg.system.y0)
+    clicked = photon_click | dark_click
+    h = _ref_bits(seed, "bob_observable", n)
+    bias = np.zeros(n)
+    if attack.strategy == "biased_observables":
+        guess_right = stage_uniform(seed, "eve_observable_guess", n) < attack.p_h
+        bias = np.where(guess_right, np.where(h == 0, attack.phi, attack.phi_prime),
+                        np.where(h == 0, attack.phi_prime, attack.phi))
+    omega, s_b = _ref_bob(seed, r, h, bias, cfg.pointer)
+    dark_omega = np.zeros(n)
+    for lo, hi, gen in _ref_blocks(seed, "dark_pointer", n):
+        dark_omega[lo:hi] = gen.normal(0.0, cfg.pointer.sigma_md, hi - lo)
+    omega = np.where(dark_click, dark_omega, omega)
+    s_b = np.where(dark_click, (stage_uniform(seed, "dark_bit", n) < 0.5).astype(np.int8), s_b)
+    if attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
+        omega = np.empty(n)
+        for lo, hi, gen in _ref_blocks(seed, "eve_fakes", n):
+            omega[lo:hi] = sample_strategy_fakes(s_a[lo:hi], b[lo:hi], h[lo:hi], attack,
+                                                 cfg.pointer.g, cfg.pointer.sigma_md, gen)
+    s_b = np.where(clicked, s_b, NO_CLICK).astype(np.int8)
+    log = SignalLog(s_a, b, h, omega, s_b, intensity)
+    report = build_report(log, cfg.resolved_thresholds())
+    sift = clicked & (b == 0)
+    key_len = int(sift.sum())
+    gt_error = float((s_a[sift] != s_b[sift]).mean()) if key_len else 0.0
+    eve_known = float((eve_bits[sift] == s_b[sift]).mean()) if eve_bits is not None and key_len else None
+    key_rate = 0.0 if report.abort else _estimated_key_rate(report, cfg)
+    return (report.to_text(), key_len, gt_error, eve_known, key_rate), log
+
+
+def reference_channel_estimation_log(channel, pointer, n, seed):
+    s_a, b, r = _ref_source(seed, n)
+    h = _ref_bits(seed, "bob_observable", n)
+    r = np.stack(channel.apply_array(r[:, 0], r[:, 1], r[:, 2]), axis=-1)
+    omega, s_b = _ref_bob(seed, r, h, np.zeros(n), pointer)
+    return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))
+
+
+LOG_COLUMNS = ("s_a", "b", "h", "omega", "s_b", "intensity")
+EQUIVALENCE_N = 3 * (1 << 16) + 123
+EQUIVALENCE_ATTACKS = {
+    "none": AttackConfig(),
+    "intercept_resend": AttackConfig(strategy="intercept_resend", p_basis=0.5),
+    "biased_observables": AttackConfig(strategy="biased_observables", p_h=0.8, phi=0.1, phi_prime=-0.05),
+    "fake_wm_strategy1": AttackConfig(strategy="fake_wm_strategy1", p_h=0.9, alpha=1.0),
+    "fake_wm_strategy2": AttackConfig.strategy2(p_basis=0.9, p_h=0.9),
+}
+EQUIVALENCE_SYSTEMS = {"lossless": ProtocolConfig().system, "lossy": SystemParams()}
+
+
+class TestBlockPipelineEquivalence:
+    """The block loop reproduces the whole-array run bit for bit."""
+
+    @pytest.mark.parametrize("system", sorted(EQUIVALENCE_SYSTEMS))
+    @pytest.mark.parametrize("strategy", sorted(EQUIVALENCE_ATTACKS))
+    def test_matches_whole_array_run(self, strategy, system):
+        cfg = ProtocolConfig(n_signals=EQUIVALENCE_N, master_seed=101,
+                             attack=EQUIVALENCE_ATTACKS[strategy], system=EQUIVALENCE_SYSTEMS[system])
+        try:
+            expected, expected_log = reference_run(cfg)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError, match=re.escape(str(exc))):
+                run_protocol(cfg)
+            return
+        result = run_protocol(cfg)
+        kept = run_protocol(cfg, keep_log=True)
+        for res in (result, kept):
+            assert (res.report.to_text(), res.sifted_key_length, res.ground_truth_sifted_error,
+                    res.eve_sifted_knowledge, res.key_rate) == expected
+        for name in LOG_COLUMNS:
+            got, want = getattr(kept.log, name), getattr(expected_log, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        rebuilt = build_report(kept.log, cfg.resolved_thresholds())
+        assert result.report.to_text() == rebuilt.to_text()
+
+    def test_channel_estimation_log_matches(self):
+        chan = ChannelModel(depolarizing_prob=0.1, rotation_theta=0.2)
+        pointer = PointerConfig(0.05, 1.0, sigma_phi=0.1, bias_phi=0.02)
+        got = channel_estimation_log(chan, pointer, EQUIVALENCE_N, 7)
+        want = reference_channel_estimation_log(chan, pointer, EQUIVALENCE_N, 7)
+        for name in LOG_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_traced_memory_per_signal(self):
+        # the whole-array run peaked near 150 B/signal; a block keeps O(BLOCK_SIZE)
+        # temporaries and only the clicked records (13 B each) outlive it
+        n = 1 << 21
+        tracemalloc.start()
+        try:
+            run_protocol(ProtocolConfig(n_signals=n, master_seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 40.0
 
 
 class TestHonestRun:
