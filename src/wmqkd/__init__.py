@@ -3,8 +3,6 @@
 from .adversary import (
     AttackConfig,
     biased_estimates,
-    eve_intercept_resend,
-    fake_pointer,
     optimal_bias_angles,
     strategy1_predicted_qber,
     strategy2_qber_lower_bound,
@@ -44,9 +42,7 @@ from .keyrate import (
 )
 from .pointer import (
     PointerConfig,
-    PointerSample,
     dephased_state,
-    sample_weak_measurement,
     wm_disturbance_error,
 )
 

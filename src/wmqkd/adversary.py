@@ -9,10 +9,12 @@ Three families are implemented.
 * Fake weak-measurement strategies 1 and 2: Eve's agent controls the
   measurement-device output.  She weakly measures both observables near the
   source and substitutes an affine transform of her own reading for the
-  observable she guesses Bob expects (correctly with probability p_H).  The
-  per-signal affine rule is `fake_pointer`.  Run-level simulation draws the
-  delivered readings from the closed-form conditional laws this attack family
-  induces: cell means carry the guess-diluted signal amplitudes
+  observable she guesses Bob expects (correctly with probability p_H): for her
+  reading Delta of that observable she delivers g_e/2 + alpha (Delta - g_e/2),
+  with alpha_x / alpha_z chosen by her basis guess under strategy 2.  Runs
+  do not simulate that per-signal rule; they draw the delivered readings from
+  the closed-form conditional laws this attack family induces: cell means
+  carry the guess-diluted signal amplitudes
   (r_x -> alpha p_basis (2 p_H - 1), r_z -> alpha p_basis) and the delivered
   per-basis standard deviations are alpha sigma_eve for Z-conditioned cells
   and alpha sigma_eve/(2 p_H - 1) for X-conditioned cells, which is what the
@@ -30,8 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .bloch import BlochState, bb84_state, _canonical_basis, BASIS_Z
 
 INV_2ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -112,25 +112,6 @@ class AttackConfig:
 # intercept-resend
 # ---------------------------------------------------------------------------
 
-def eve_intercept_resend(true_basis, true_bit: int, cfg: AttackConfig, rng) -> BlochState:
-    """Intercept-resend on one source signal: guess basis, measure, re-emit.
-
-    The guess equals the true basis with probability p_basis; the strong
-    measurement follows the Born rule on the true state; the returned state is
-    the measured eigenstate.
-    """
-    if cfg.strategy != "intercept_resend":
-        raise ValueError(f"attack config is for {cfg.strategy!r}, not intercept_resend")
-    state = bb84_state(true_basis, true_bit)
-    r_out, _, _ = intercept_resend_array(
-        state.as_array()[None, :],
-        np.array([0 if _canonical_basis(true_basis) == BASIS_Z else 1], dtype=np.uint8),
-        cfg.p_basis,
-        rng,
-    )
-    return BlochState.from_array(r_out[0])
-
-
 def intercept_resend_array(r, basis_flags, p_basis, rng, force_z: bool = False):
     """Vectorised intercept-resend on post-channel states.
 
@@ -152,9 +133,7 @@ def intercept_resend_array(r, basis_flags, p_basis, rng, force_z: bool = False):
     bits = np.where(outcome_plus, 0, 1).astype(np.uint8)
     sign = np.where(outcome_plus, 1.0, -1.0)
     out = np.zeros_like(r)
-    z_mask = guess == 0
-    out[z_mask, 2] = sign[z_mask]
-    out[~z_mask, 0] = sign[~z_mask]
+    out[np.arange(n), 2 - 2 * guess] = sign  # column 2 (z) for a Z guess, 0 (x) for X
     return out, guess, bits
 
 
@@ -169,43 +148,6 @@ def intercept_resend_mean_state(r: np.ndarray, basis_flag: int, p_basis: float) 
 # ---------------------------------------------------------------------------
 # fake weak-measurement pointers (strategies 1 and 2)
 # ---------------------------------------------------------------------------
-
-def fake_pointer(eve_samples, guessed_observable, guessed_basis, cfg: AttackConfig) -> float:
-    """Per-signal fake rule g_e/2 + alpha_b (Delta_guessed - g_e/2).
-
-    eve_samples is Eve's own (Delta_plus, Delta_minus) reading pair taken near
-    the source; guessed_observable in {'+', '-'} selects which one she
-    substitutes, and guessed_basis in {'X', 'Z'} selects alpha_x / alpha_z for
-    strategy 2 (strategy 1 uses the single alpha).
-    """
-    delta_plus, delta_minus = eve_samples
-    delta = delta_plus if guessed_observable == "+" else delta_minus
-    if cfg.strategy == "fake_wm_strategy2":
-        alpha = cfg.alpha_x if _canonical_basis(guessed_basis) == "X" else cfg.alpha_z
-    else:
-        alpha = cfg.alpha
-    if alpha is None:
-        raise ValueError("attack config carries no amplification factor")
-    g_e = cfg.g_eve
-    if g_e is None:
-        raise ValueError("g_eve not set; use with_device_defaults first")
-    return g_e / 2.0 + alpha * (delta - g_e / 2.0)
-
-
-def eve_weak_measurement_pair(state: BlochState, g_eve: float, sigma_eve: float, rng):
-    """Eve's own sequential weak measurements of H+ then H- on one signal.
-
-    Returns (delta_plus, delta_minus).  At weak couplings the ordering effect
-    is second order; H+ is measured first by convention.
-    """
-    from .bloch import Projector
-    from .pointer import PointerConfig, sample_weak_measurement
-
-    cfg = PointerConfig(g=g_eve, sigma_md=sigma_eve)
-    first = sample_weak_measurement(state, Projector.h_plus(), cfg, rng)
-    second = sample_weak_measurement(first.posterior, Projector.h_minus(), cfg, rng)
-    return first.value, second.value
-
 
 def strategy1_predicted_qber(alpha: float, p_h: float) -> float:
     """Bit error rate Alice and Bob estimate under Strategy 1: (1 - alpha p_H)/2."""
@@ -233,59 +175,20 @@ def strategy2_sigma_ratio_crossover(p_product: float, delta_sec: float) -> float
     return (1.0 - 2.0 * delta_sec) / p_product
 
 
-def sample_strategy_fakes(s_a, basis_flags, h_flags, attack: AttackConfig,
-                          g: float, sigma_md: float, rng) -> np.ndarray:
-    """Draw the pointer readings Eve's agent delivers under strategies 1/2.
+def _fake_cell_table(attack: AttackConfig, g: float, sigma_md: float):
+    """Per-cell (mean, std) of the delivered reading, indexed [s_a, basis, h].
 
-    Per-signal conditional law of the fake-WM attack family (noiseless source,
-    physical pointer units): the mean carries the guess-diluted signal term and
+    basis 0 = Z, h 0 = H+.  The mean carries the guess-diluted signal term and
     the standard deviation is the per-basis value the variance checks test.
-    s_a / basis_flags / h_flags are Alice's bit, basis (0=Z), and Bob's
-    observable choice (0 = H+).
     """
     cfg = attack.with_device_defaults(g, sigma_md)
-    s_a = np.asarray(s_a)
-    basis = np.asarray(basis_flags)
-    t = np.where(np.asarray(h_flags) == 0, 1.0, -1.0)  # +1 for H+, -1 for H-
-    bit_sign = np.where(s_a == 0, 1.0, -1.0)
-    g_e, sig_e = cfg.g_eve, cfg.sigma_eve
-    two_ph = 2.0 * cfg.p_h - 1.0
-    if cfg.strategy == "fake_wm_strategy1":
-        amp_x = amp_z = cfg.alpha
-        p_b = 0.5  # strategy 1 assumes no basis knowledge
-        # delivering full Z amplitude alpha forces the X-cell spread up by 1/(2pH-1)
-        std_x = cfg.alpha * sig_e / two_ph
-        std_z = cfg.alpha * sig_e
-        signal_x = amp_x * two_ph * t * bit_sign
-        signal_z = amp_z * bit_sign
-    elif cfg.strategy == "fake_wm_strategy2":
-        p_b = cfg.p_basis
-        std_x = cfg.alpha_x * sig_e
-        std_z = cfg.alpha_z * sig_e
-        signal_x = cfg.alpha_x * p_b * two_ph * t * bit_sign
-        signal_z = cfg.alpha_z * p_b * bit_sign
-    else:
-        raise ValueError(f"not a fake-WM strategy: {cfg.strategy!r}")
-    mean = g_e * (0.5 + np.where(basis == 0, signal_z, signal_x) * INV_2ROOT2)
-    std = np.where(basis == 0, std_z, std_x)
-    return mean + std * rng.standard_normal(mean.shape)
-
-
-def strategy_fake_cell_laws(attack: AttackConfig, g: float, sigma_md: float):
-    """Exact (mean, variance) of the delivered reading per (bit, basis, observable) cell.
-
-    Returns arrays shaped (2, 2, 2) indexed [s_a, basis, h]; used by the
-    analytic sweep mode and as the Monte Carlo oracle.
-    """
     s_a, basis, h = np.indices((2, 2, 2))
-    mean = np.empty((2, 2, 2))
-    var = np.empty((2, 2, 2))
-    # reuse the sampler's algebra with zero noise for the means
-    cfg = attack.with_device_defaults(g, sigma_md)
-    t = np.where(h == 0, 1.0, -1.0)
+    t = np.where(h == 0, 1.0, -1.0)  # +1 for H+, -1 for H-
     bit_sign = np.where(s_a == 0, 1.0, -1.0)
     two_ph = 2.0 * cfg.p_h - 1.0
     if cfg.strategy == "fake_wm_strategy1":
+        # strategy 1 assumes no basis knowledge; delivering full Z amplitude
+        # alpha forces the X-cell spread up by 1/(2pH-1)
         signal = np.where(basis == 0, cfg.alpha * bit_sign, cfg.alpha * two_ph * t * bit_sign)
         std = np.where(basis == 0, cfg.alpha * cfg.sigma_eve, cfg.alpha * cfg.sigma_eve / two_ph)
     elif cfg.strategy == "fake_wm_strategy2":
@@ -297,9 +200,30 @@ def strategy_fake_cell_laws(attack: AttackConfig, g: float, sigma_md: float):
         std = np.where(basis == 0, cfg.alpha_z * cfg.sigma_eve, cfg.alpha_x * cfg.sigma_eve)
     else:
         raise ValueError(f"not a fake-WM strategy: {cfg.strategy!r}")
-    mean[:] = cfg.g_eve * (0.5 + signal * INV_2ROOT2)
-    var[:] = std**2
-    return mean, var
+    return cfg.g_eve * (0.5 + signal * INV_2ROOT2), std
+
+
+def sample_strategy_fakes(s_a, basis_flags, h_flags, attack: AttackConfig,
+                          g: float, sigma_md: float, rng) -> np.ndarray:
+    """Draw the pointer readings Eve's agent delivers under strategies 1/2.
+
+    Each reading follows its cell's law from `strategy_fake_cell_laws`
+    (noiseless source, physical pointer units).  s_a / basis_flags / h_flags
+    are Alice's bit, basis (0=Z), and Bob's observable choice (0 = H+).
+    """
+    mean, std = _fake_cell_table(attack, g, sigma_md)
+    cell = (np.asarray(s_a), np.asarray(basis_flags), np.asarray(h_flags))
+    return mean[cell] + std[cell] * rng.standard_normal(cell[0].shape)
+
+
+def strategy_fake_cell_laws(attack: AttackConfig, g: float, sigma_md: float):
+    """Exact (mean, variance) of the delivered reading per (bit, basis, observable) cell.
+
+    Returns arrays shaped (2, 2, 2) indexed [s_a, basis, h]; used by the
+    analytic sweep mode and as the Monte Carlo oracle.
+    """
+    mean, std = _fake_cell_table(attack, g, sigma_md)
+    return mean, std**2
 
 
 # ---------------------------------------------------------------------------

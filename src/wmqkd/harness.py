@@ -45,6 +45,7 @@ from .keyrate import (
     SystemParams,
     bb84_decoy_chain,
     clip_error,
+    honest_gains,
     q1_lower,
     smoothed_rate,
     wm_decoy_chain,
@@ -380,11 +381,10 @@ def exact_cell_statistics(cfg: ProtocolConfig):
 def analytic_report(cfg: ProtocolConfig) -> EstimationReport:
     """The estimation subroutine fed with exact expectations (no sampling)."""
     mean, var = exact_cell_statistics(cfg)
-    q_mu = cfg.system.y0 - math.expm1(-cfg.system.eta * cfg.decoy.mu)
-    q_nu = cfg.system.y0 - math.expm1(-cfg.system.eta * cfg.decoy.nu)
-    gains = {"signal": q_mu, "decoy": q_nu, "vacuum": cfg.system.y0}
-    d_mu = gains["vacuum"] / q_mu
-    d_nu = gains["vacuum"] / q_nu
+    q_mu, q_nu, q_vac = honest_gains(cfg.system, cfg.decoy)
+    gains = {"signal": q_mu, "decoy": q_nu, "vacuum": q_vac}
+    d_mu = q_vac / q_mu
+    d_nu = q_vac / q_nu
     stats = exact_stats((1.0 - d_mu) * mean, var)
     stats_nu = exact_stats((1.0 - d_nu) * mean, var)
     return report_from_stats(stats, cfg.resolved_thresholds(), gains, stats_decoy=stats_nu)

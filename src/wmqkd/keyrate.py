@@ -191,27 +191,14 @@ class DecoyRateBreakdown:
     clamped: bool
 
 
-def _dark_corrected(params: SystemParams, cfg: DecoyConfig, base_error: float):
-    """Per-intensity errors after folding in the dark-count fraction."""
-    q_mu, q_nu, q_vac = honest_gains(params, cfg)
-    d_mu = dark_count_fraction(q_mu, min(q_vac, q_mu))
-    d_nu = dark_count_fraction(q_nu, min(q_vac, q_nu))
-    eps_mu = corrected_error_rate(base_error, d_mu)
-    eps_nu = corrected_error_rate(base_error, d_nu)
-    return q_mu, q_nu, q_vac, eps_mu, eps_nu
-
-
 def bb84_decoy_chain(params: SystemParams, cfg: DecoyConfig,
                      base_error: float | None = None) -> DecoyRateBreakdown:
-    """BB84-style chain: symmetric errors eps = delta_b at every intensity."""
-    base = params.e_d if base_error is None else base_error
-    q_mu, q_nu, q_vac, eps_mu, eps_nu = _dark_corrected(params, cfg, base)
-    q1 = q1_lower(q_mu, q_nu, q_vac, cfg)
-    if q1 <= 0.0:
-        return DecoyRateBreakdown(q_mu, q_nu, q_vac, 0.0, eps_mu, eps_nu, 0.5, 0.0, True)
-    eps1, clamped = _eps1_bound(eps_nu, q_nu, 0.5, q_vac, q1, cfg)
-    rate = decoy_rate(q1, eps1, q_mu, eps_mu, params)
-    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, eps_mu, eps_nu, eps1, rate, clamped)
+    """BB84-style chain: symmetric errors eps = delta_b at every intensity.
+
+    It is the weak-measurement chain with no back-action and equal X and Z
+    errors; eps_mu / eps_nu land in its Z-signal / X-decoy fields.
+    """
+    return wm_decoy_chain(params, cfg, 0.0, base_error, base_error)
 
 
 def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float = 0.0,

@@ -67,14 +67,6 @@ class PointerConfig:
         return self.g / self.sigma_md
 
 
-@dataclass(frozen=True)
-class PointerSample:
-    """One weak-measurement record: the pointer reading and the posterior state."""
-
-    value: float
-    posterior: BlochState
-
-
 def dephasing_factor(g: float, sigma: float) -> float:
     """Coherence survival e^{-g^2 / 8 sigma^2} of one weak measurement."""
     return math.exp(-(g * g) / (8.0 * sigma * sigma))
@@ -108,39 +100,6 @@ def physical_pointer_variance(scaled_variance: float, g: float) -> float:
     return scaled_variance / (g * g)
 
 
-def _kraus_update(r, axis, rn, omega, g, sigma):
-    """Posterior Bloch components from the components of r and of the projector axis.
-
-    rn is the projection r . axis; an axis component given as None is zero.
-    """
-    # branch weights; a <-> P_perp (no shift), b <-> P (shift g)
-    w_a = omega**2
-    w_b = (omega - g) ** 2
-    a2 = np.exp(-w_a / (2.0 * sigma * sigma))
-    b2 = np.exp(-w_b / (2.0 * sigma * sigma))
-    ab = np.exp(-(w_a + w_b) / (4.0 * sigma * sigma))
-    weight_a = a2 * (1.0 - rn)
-    weight_b = b2 * (1.0 + rn)
-    norm = 0.5 * (weight_a + weight_b)
-    out_n = (weight_b - weight_a) / (2.0 * norm)
-    # the axis component is filtered, the perpendicular part scaled by the overlap
-    overlap = ab / norm
-    return [overlap * r_i if a_i is None else out_n * a_i + overlap * (r_i - rn * a_i)
-            for r_i, a_i in zip(r, axis)]
-
-
-def posterior_update(r, axis, omega, g, sigma):
-    """Kraus update of Bloch vectors given pointer readings (vectorised).
-
-    r: (..., 3) Bloch vectors; axis: (..., 3) unit projector axes; omega:
-    readings.  Returns the posterior Bloch vectors, same shape as r.
-    """
-    r = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
-    axis = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
-    rn = r[0] * axis[0] + r[1] * axis[1] + r[2] * axis[2]
-    return np.stack(_kraus_update(r, axis, rn, np.asarray(omega, dtype=float), g, sigma), axis=-1)
-
-
 def sample_readings(p_expectations, g, sigma, rng):
     """Draw pointer readings from the two-branch mixture (vectorised)."""
     p = np.asarray(p_expectations, dtype=float)
@@ -164,28 +123,23 @@ def measure_array(r, sign, angle, cfg: PointerConfig, rng):
     axis_x, axis_z = sign * np.sin(angle), np.cos(angle)
     rn = r_x * axis_x + r_z * axis_z
     omega = sample_readings(0.5 * (1.0 + rn), cfg.g, cfg.sigma_md, rng)
-    posterior = _kraus_update((r_x, r_y, r_z), (axis_x, None, axis_z), rn, omega, cfg.g, cfg.sigma_md)
+    # Kraus update: branch weights a <-> P_perp (no shift), b <-> P (shift g)
+    g, sigma = cfg.g, cfg.sigma_md
+    w_a = omega**2
+    w_b = (omega - g) ** 2
+    a2 = np.exp(-w_a / (2.0 * sigma * sigma))
+    b2 = np.exp(-w_b / (2.0 * sigma * sigma))
+    ab = np.exp(-(w_a + w_b) / (4.0 * sigma * sigma))
+    weight_a = a2 * (1.0 - rn)
+    weight_b = b2 * (1.0 + rn)
+    norm = 0.5 * (weight_a + weight_b)
+    out_n = (weight_b - weight_a) / (2.0 * norm)
+    # the axis component is filtered, the perpendicular part (all of y) scaled by the overlap
+    overlap = ab / norm
+    posterior = (out_n * axis_x + overlap * (r_x - rn * axis_x),
+                 overlap * r_y,
+                 out_n * axis_z + overlap * (r_z - rn * axis_z))
     return omega, np.stack(posterior, axis=-1)
-
-
-def sample_weak_measurement(s: BlochState, p: Projector, cfg: PointerConfig, rng) -> PointerSample:
-    """One weak measurement of projector p on state s.
-
-    The projector angle is perturbed by fresh Gaussian noise if sigma_phi > 0
-    and offset deterministically by bias_phi; the reading is drawn from the
-    two-branch mixture and the posterior follows the Kraus update.
-    """
-    # family decomposition: axis = (sign*sin(sign*phi_total), 0, cos(sign*phi_total))
-    # holds for both families and their complements since cos is even
-    base_angle = p.sign * p.phi_total
-    omega, post = measure_array(
-        s.as_array()[None, :],
-        np.array([float(p.sign)]),
-        np.array([base_angle]),
-        cfg,
-        rng,
-    )
-    return PointerSample(float(omega[0]), BlochState.from_array(post[0]))
 
 
 def dephased_state(s: BlochState, p: Projector, cfg: PointerConfig) -> BlochState:

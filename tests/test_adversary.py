@@ -7,9 +7,6 @@ from wmqkd.adversary import (
     AttackConfig,
     biased_estimates,
     biased_estimates_selective,
-    eve_intercept_resend,
-    eve_weak_measurement_pair,
-    fake_pointer,
     intercept_resend_array,
     optimal_bias_angles,
     sample_strategy_fakes,
@@ -19,7 +16,21 @@ from wmqkd.adversary import (
     strategy2_sigma_ratio_crossover,
     strategy_fake_cell_laws,
 )
-from wmqkd.bloch import ChannelModel, bb84_state, binary_entropy, channel_r_parameters
+from wmqkd.bloch import BlochState, ChannelModel, bb84_state, binary_entropy, channel_r_parameters
+from wmqkd.pointer import PointerConfig, measure_array
+
+
+def z0_states(n):
+    return np.tile(bb84_state("Z", 0).as_array(), (n, 1))
+
+
+def measure_pair(r, first_sign, cfg, rng):
+    """Weak-measure H(first_sign) then the other family on the posterior; returns both readings."""
+    n = len(r)
+    quarter = np.full(n, math.pi / 4)  # H- is sign -1 at the same angle
+    first, posterior = measure_array(r, np.full(n, first_sign), quarter, cfg, rng)
+    second, _ = measure_array(posterior, np.full(n, -first_sign), quarter, cfg, rng)
+    return first, second
 
 
 class TestAttackConfig:
@@ -54,19 +65,17 @@ class TestInterceptResend:
     def test_perfect_basis_knowledge(self):
         rng = np.random.default_rng(0)
         cfg = AttackConfig(strategy="intercept_resend", p_basis=1.0)
-        for _ in range(50):
-            out = eve_intercept_resend("Z", 0, cfg, rng)
-            assert out == bb84_state("Z", 0)
+        out, _, _ = intercept_resend_array(z0_states(50), np.zeros(50, dtype=np.uint8), cfg.p_basis, rng)
+        for row in out:
+            assert BlochState.from_array(row) == bb84_state("Z", 0)
 
     def test_half_basis_knowledge_mean_state(self):
         rng = np.random.default_rng(1)
         cfg = AttackConfig(strategy="intercept_resend", p_basis=0.5)
         n = 40_000
-        acc = np.zeros(3)
-        for _ in range(n):
-            acc += eve_intercept_resend("Z", 0, cfg, rng).as_array()
+        out, _, _ = intercept_resend_array(z0_states(n), np.zeros(n, dtype=np.uint8), cfg.p_basis, rng)
         # re-emitted ensemble averages to (0, 0, 1/2)
-        assert acc / n == pytest.approx([0, 0, 0.5], abs=4 / math.sqrt(n))
+        assert out.mean(axis=0) == pytest.approx([0, 0, 0.5], abs=4 / math.sqrt(n))
 
     @pytest.mark.parametrize("p_basis,want", [(0.5, 0.25), (0.9, 0.05), (1.0, 0.0)])
     def test_induced_sifted_error(self, p_basis, want):
@@ -82,39 +91,15 @@ class TestInterceptResend:
 
 
 class TestFakePointer:
-    def test_identity_at_alpha_one(self):
-        cfg = AttackConfig(strategy="fake_wm_strategy1", p_h=0.9, alpha=1.0, g_eve=0.05)
-        assert fake_pointer((0.123, 0.456), "+", "Z", cfg) == pytest.approx(0.123)
-        assert fake_pointer((0.123, 0.456), "-", "Z", cfg) == pytest.approx(0.456)
-
-    def test_alpha_zero_fixed_point(self):
-        cfg = AttackConfig(strategy="fake_wm_strategy1", p_h=0.9, alpha=0.0, g_eve=0.05)
-        assert fake_pointer((0.9, -0.3), "+", "X", cfg) == pytest.approx(0.025)
-
-    def test_strategy2_selects_alpha_by_basis(self):
-        cfg = AttackConfig(strategy="fake_wm_strategy2", p_basis=0.9, p_h=0.9,
-                           alpha_x=2.0, alpha_z=3.0, g_eve=0.0)
-        assert fake_pointer((1.0, 0.5), "+", "X", cfg) == pytest.approx(2.0)
-        assert fake_pointer((1.0, 0.5), "+", "Z", cfg) == pytest.approx(3.0)
-
     def test_measurement_ordering_second_order(self):
         # measuring H+ then H- versus H- then H+: at weak couplings the
         # ordering shifts Eve's conditional means only at O(g^3/sigma^2)
-        from wmqkd.bloch import Projector
-        from wmqkd.pointer import PointerConfig, sample_weak_measurement
-        state = bb84_state("Z", 0)
         cfg = PointerConfig(g=0.05, sigma_md=1.0)
         n = 40_000
         means = []
-        for seed, order in ((20, (Projector.h_plus(), Projector.h_minus())),
-                            (20, (Projector.h_minus(), Projector.h_plus()))):
-            rng = np.random.default_rng(seed)
-            acc = np.zeros(2)
-            for _ in range(n):
-                first = sample_weak_measurement(state, order[0], cfg, rng)
-                second = sample_weak_measurement(first.posterior, order[1], cfg, rng)
-                acc += (first.value, second.value)
-            means.append(acc / n)
+        for seed, first_sign in ((20, 1.0), (20, -1.0)):
+            first, second = measure_pair(z0_states(n), first_sign, cfg, np.random.default_rng(seed))
+            means.append((first.mean(), second.mean()))
         plus_first, minus_first = means
         se = 3.0 * math.sqrt(2.0 / n)
         # the H+ mean measured first equals the H+ mean measured second, etc.
@@ -128,13 +113,11 @@ class TestFakePointer:
         cfg = AttackConfig(strategy="fake_wm_strategy1", p_h=1.0, alpha=1.2,
                            g_eve=0.05, sigma_eve=1.0)
         n = 60_000
-        acc = 0.0
-        state = bb84_state("Z", 0)
-        for _ in range(n):
-            pair = eve_weak_measurement_pair(state, 0.05, 1.0, rng)
-            acc += fake_pointer(pair, "+", "Z", cfg)
+        delta_plus, _ = measure_pair(z0_states(n), 1.0, PointerConfig(g=0.05, sigma_md=1.0), rng)
+        # Eve substitutes her H+ reading through the affine rule g_e/2 + alpha (Delta_+ - g_e/2)
+        faked = cfg.g_eve / 2 + cfg.alpha * (delta_plus - cfg.g_eve / 2)
         want = 0.05 * (0.5 + 1.2 / (2 * math.sqrt(2)))
-        assert acc / n == pytest.approx(want, abs=4 * 1.2 / math.sqrt(n))
+        assert faked.mean() == pytest.approx(want, abs=4 * 1.2 / math.sqrt(n))
 
 
 class TestStrategyFormulas:
@@ -158,6 +141,15 @@ class TestStrategyFormulas:
         ratio = strategy2_sigma_ratio_crossover(0.35, 0.11)
         assert ratio == pytest.approx(2.2285714285714286, abs=1e-12)
         assert strategy2_qber_lower_bound(0.7, 0.5, ratio) == pytest.approx(0.11, abs=1e-12)
+
+    def test_strategy2_cell_laws_select_alpha_by_basis(self):
+        attack = AttackConfig.strategy2(p_basis=0.9, p_h=0.9, alpha_x=2.0, alpha_z=3.0)
+        mean, var = strategy_fake_cell_laws(attack, 0.05, 1.0)
+        assert var[:, 0, :] == pytest.approx(9.0)
+        assert var[:, 1, :] == pytest.approx(4.0)
+        # signal amplitudes alpha_z p_basis (Z cells) and alpha_x p_basis (2 p_H - 1) (X cells)
+        assert mean[0, 0, 0] == pytest.approx(0.05 * (0.5 + 3.0 * 0.9 / (2 * math.sqrt(2))))
+        assert mean[0, 1, 0] == pytest.approx(0.05 * (0.5 + 2.0 * 0.9 * 0.8 / (2 * math.sqrt(2))))
 
     def test_fake_cell_laws_match_sampler(self):
         attack = AttackConfig(strategy="fake_wm_strategy1", p_h=0.9, alpha=1.0)

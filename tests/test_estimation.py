@@ -6,6 +6,8 @@ import pytest
 
 from wmqkd.bloch import ChannelModel, true_error_rates
 from wmqkd.estimation import (
+    _delta_gradients,
+    ConditionedStats,
     EstimationError,
     EstimationThresholds,
     SignalLog,
@@ -302,6 +304,13 @@ class TestVerification:
         assert not v.variances_equal
         assert v.max_variance_ratio == pytest.approx(1.5625, rel=0.05)
 
+    def test_nan_reading_fails_variance_equality(self):
+        # the NaN sits outside the first cell, so its p-values are not the first
+        log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 100_000, 12)
+        log.omega[np.flatnonzero((log.s_a == 1) & (log.b == 1) & (log.h == 1))[0]] = np.nan
+        report = build_report(log, EstimationThresholds.for_device(G, 1.0))
+        assert not report.verdicts.variances_equal
+
     def test_unresolved_device_thresholds_rejected(self):
         stats = exact_channel_stats(ChannelModel())
         with pytest.raises(ValueError, match="with_device_defaults"):
@@ -314,7 +323,35 @@ class TestVerification:
         assert report.qber > 0.11
 
 
+def numeric_delta_gradients(stats, dark_fraction):
+    """Central differences of (delta_x, delta_z, delta_b) through the estimator itself."""
+    def evaluate(mean):
+        s = ConditionedStats(mean, stats.var, stats.count)
+        gp, gm = estimate_couplings(s, dark_fraction)
+        r = estimate_error_rates(s, gp, gm, dark_fraction)
+        return np.array([r.delta_x, r.delta_z, r.delta_b])
+
+    grads = np.zeros((3, 2, 2, 2))
+    scale = max(1e-6, 1e-6 * float(np.max(np.abs(stats.mean))))
+    for idx in np.ndindex(2, 2, 2):
+        bump = np.zeros_like(stats.mean)
+        bump[idx] = scale
+        grads[(slice(None),) + idx] = (evaluate(stats.mean + bump) - evaluate(stats.mean - bump)) / (2 * scale)
+    return grads
+
+
 class TestStandardErrors:
+    def test_closed_form_gradient_matches_central_difference(self):
+        from wmqkd.harness import run_protocol
+        from wmqkd.keyrate import SystemParams
+        report = run_protocol(ProtocolConfig(
+            n_signals=500_000, master_seed=41, channel=ChannelModel(depolarizing_prob=0.1),
+            system=SystemParams(eta_d=1.0, distance_km=0.0, y0=0.02))).report
+        assert report.dark_fraction_signal > 0.0
+        stats = ConditionedStats(report.cell_mean, report.cell_var, report.cell_count)
+        want = numeric_delta_gradients(stats, report.dark_fraction_signal)
+        assert _delta_gradients(stats) == pytest.approx(want, rel=1e-6)
+
     def test_exact_gives_zero(self):
         stats = exact_channel_stats(ChannelModel())
         assert delta_standard_errors(stats) == (0.0, 0.0, 0.0)

@@ -12,8 +12,6 @@ from wmqkd.pointer import (
     coupling_scaled_variance,
     physical_pointer_variance,
     pointer_variance,
-    posterior_update,
-    sample_weak_measurement,
     wm_disturbance_error,
 )
 
@@ -86,12 +84,10 @@ class TestSampling:
         rng = np.random.default_rng(3)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
         proj = Projector.h_plus()
-        s = BlochState.from_array(proj.axis())
-        values = []
-        for _ in range(4000):
-            out = sample_weak_measurement(s, proj, cfg, rng)
-            assert out.posterior.as_array() == pytest.approx(proj.axis(), abs=1e-12)
-            values.append(out.value)
+        n = 4000
+        values, post = measure_array(
+            np.tile(proj.axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
+        assert post == pytest.approx(np.tile(proj.axis(), (n, 1)), abs=1e-12)
         # pointer ~ N(g, sigma^2) for the +1 eigenstate
         assert np.mean(values) == pytest.approx(0.3, abs=4 * 1.0 / math.sqrt(4000))
 
@@ -99,8 +95,9 @@ class TestSampling:
         rng = np.random.default_rng(4)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
         proj = Projector.h_plus()
-        s = BlochState.from_array(-proj.axis())
-        values = [sample_weak_measurement(s, proj, cfg, rng).value for _ in range(4000)]
+        n = 4000
+        values, _ = measure_array(
+            np.tile(-proj.axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
         assert np.mean(values) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
 
     def test_pointer_moments(self):
@@ -186,7 +183,6 @@ class TestSampling:
         rng = np.random.default_rng(10)
         r = rng.normal(size=(500, 3))
         r /= np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1.0) * 1.0001
-        axis = np.tile(Projector.h_plus().axis(), (500, 1))
-        omega = rng.normal(0, 1, 500)
-        out = posterior_update(r, axis, omega, 0.3, 1.0)
+        _, out = measure_array(r, np.ones(500), np.full(500, math.pi / 4),
+                               PointerConfig(g=0.3, sigma_md=1.0), rng)
         assert np.all(np.linalg.norm(out, axis=1) <= 1 + 1e-9)
