@@ -7,15 +7,7 @@ from .adversary import (
     strategy1_predicted_qber,
     strategy2_qber_lower_bound,
 )
-from .bloch import (
-    BlochState,
-    ChannelModel,
-    Projector,
-    apply_channel,
-    bb84_state,
-    binary_entropy,
-    expectation,
-)
+from .bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis
 from .estimation import (
     EstimationReport,
     EstimationThresholds,

@@ -137,12 +137,14 @@ def intercept_resend_array(r, basis_flags, p_basis, rng, force_z: bool = False):
     return out, guess, bits
 
 
-def intercept_resend_mean_state(r: np.ndarray, basis_flag: int, p_basis: float) -> np.ndarray:
-    """Exact ensemble average of the re-emitted state (analytic mode)."""
-    r = np.asarray(r, dtype=float)
-    e_true = np.array([0.0, 0.0, 1.0]) if basis_flag == 0 else np.array([1.0, 0.0, 0.0])
-    e_other = np.array([1.0, 0.0, 0.0]) if basis_flag == 0 else np.array([0.0, 0.0, 1.0])
-    return p_basis * (r @ e_true) * e_true + (1.0 - p_basis) * (r @ e_other) * e_other
+def intercept_resend_mean_state(r_x, r_z, basis_flags, p_basis: float):
+    """Exact ensemble average (x, z) of the re-emitted states (analytic mode).
+
+    Eve measures the true basis (0=Z / 1=X) with probability p_basis, which
+    keeps that component, and the other basis otherwise; y is always lost.
+    """
+    return (np.where(basis_flags == 1, p_basis, 1.0 - p_basis) * r_x,
+            np.where(basis_flags == 0, p_basis, 1.0 - p_basis) * r_z)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,12 @@ def strategy_fake_cell_laws(attack: AttackConfig, g: float, sigma_md: float):
 # ---------------------------------------------------------------------------
 # biased observables
 # ---------------------------------------------------------------------------
+
+def observable_biases(h_flags, attack: AttackConfig):
+    """(intended, swapped) bias per observable flag; Eve means to bias H+ (h = 0) by phi, H- by phi'."""
+    return (np.where(h_flags == 0, attack.phi, attack.phi_prime),
+            np.where(h_flags == 0, attack.phi_prime, attack.phi))
+
 
 def biased_estimates(r_x_plus: float, r_z_0: float, phi: float) -> tuple[float, float]:
     """Error estimates under a uniform bias phi of both observables.

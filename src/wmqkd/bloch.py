@@ -1,15 +1,16 @@
 """Single-qubit Bloch-vector algebra for the weak-measurement QKD toolkit.
 
 A qubit density operator rho = (I + r_x X + r_y Y + r_z Z)/2 is represented by
-its Bloch vector (r_x, r_y, r_z).  The protocol's observables are the rank-1
-projectors
+its Bloch components (r_x, r_y, r_z), held as plain float arrays of any common
+shape: one entry per signal in a Monte Carlo block, one per (bit, basis,
+observable) cell in the analytic mode.  The protocol's observables are the
+rank-1 projectors
 
     H(+, phi) = (I + sin(pi/4 + phi) X + cos(pi/4 + phi) Z) / 2
     H(-, phi) = (I - sin(pi/4 + phi) X + cos(pi/4 + phi) Z) / 2
 
 which sit midway between the Z and X bases (phi = 0 gives the canonical pair).
-Everything here is a pure function of immutable values; vectorised variants
-operate on plain float arrays and are used by the Monte Carlo harness.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -19,117 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
 
-BASIS_Z = "Z"
-BASIS_X = "X"
+def bb84_bloch(bits, basis):
+    """Bloch components (x, y, z) of the BB84 states for bit and basis flags.
 
-_BASIS_ALIASES = {
-    "Z": BASIS_Z,
-    "X": BASIS_X,
-    0: BASIS_Z,  # protocol basis flag: b=0 encodes Z
-    1: BASIS_X,
-}
-
-
-def _canonical_basis(basis) -> str:
-    try:
-        return _BASIS_ALIASES[basis]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown basis {basis!r}; expected 'Z', 'X', 0 or 1") from None
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """A qubit state as a Bloch vector; valid iff |r| <= 1 (+ tolerance)."""
-
-    r_x: float
-    r_y: float
-    r_z: float
-
-    def __post_init__(self):
-        n2 = self.r_x**2 + self.r_y**2 + self.r_z**2
-        if n2 > 1.0 + NORM_TOL:
-            raise ValueError(f"Bloch norm {math.sqrt(n2):.6f} exceeds 1: not a density operator")
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.r_x**2 + self.r_y**2 + self.r_z**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r_x, self.r_y, self.r_z])
-
-    def negate(self) -> "BlochState":
-        """Antipodal vector; for a pure state this is the orthogonal state."""
-        return BlochState(-self.r_x, -self.r_y, -self.r_z)
-
-    @staticmethod
-    def from_array(r) -> "BlochState":
-        r = np.asarray(r, dtype=float)
-        return BlochState(float(r[0]), float(r[1]), float(r[2]))
-
-
-MAXIMALLY_MIXED = BlochState(0.0, 0.0, 0.0)
-
-
-def bb84_state(basis, bit: int) -> BlochState:
-    """The four BB84 source states, exactly pure at construction.
-
+    Basis 0 = Z, 1 = X; bit 0 lies along +axis, bit 1 along -axis, so
     (Z, 0) -> |0>, (Z, 1) -> |1>, (X, 0) -> |+>, (X, 1) -> |->.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    sign = 1.0 if bit == 0 else -1.0
-    if _canonical_basis(basis) == BASIS_Z:
-        return BlochState(0.0, 0.0, sign)
-    return BlochState(sign, 0.0, 0.0)
+    sign = np.where(bits == 0, 1.0, -1.0)
+    z_basis = basis == 0
+    return np.where(z_basis, 0.0, sign), np.zeros(sign.shape), np.where(z_basis, sign, 0.0)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Rank-1 observable (I + sin(phi_total) X + cos(phi_total) Z)/2 in the X-Z plane.
+def projector_axis(sign, angle):
+    """X and Z components of the unit axis of H(sign), the projector (I + axis . sigma)/2.
 
-    ``sign`` tags the family member: +1 stores phi_total = pi/4 + bias for H+,
-    -1 stores the mirrored phi_total = -(pi/4 + bias) for H-.  The axis formula
-    (sin(phi_total), 0, cos(phi_total)) then covers both families uniformly.
+    angle is the total angle pi/4 + phi; the family sign (+1 for H+, -1 for
+    H-) mirrors the X component.  The axis has no Y component.
     """
-
-    phi_total: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-
-    @classmethod
-    def h_plus(cls, bias: float = 0.0) -> "Projector":
-        return cls(math.pi / 4 + bias, +1)
-
-    @classmethod
-    def h_minus(cls, bias: float = 0.0) -> "Projector":
-        return cls(-(math.pi / 4 + bias), -1)
-
-    @classmethod
-    def from_family(cls, sign: int, bias: float = 0.0) -> "Projector":
-        return cls.h_plus(bias) if sign == +1 else cls.h_minus(bias)
-
-    @property
-    def bias(self) -> float:
-        return abs(self.phi_total) - math.pi / 4
-
-    def axis(self) -> np.ndarray:
-        """Unit Bloch axis, so that the projector is (I + axis . sigma)/2."""
-        return np.array([math.sin(self.phi_total), 0.0, math.cos(self.phi_total)])
-
-    def complement(self) -> "Projector":
-        """The orthogonal projector (axis negated, same family tag)."""
-        return Projector(self.phi_total + math.pi, self.sign)
-
-
-def expectation(p: Projector, s: BlochState) -> float:
-    """Tr(P rho) = (1 + n.r)/2 for projector axis n; always in [0, 1]."""
-    n = p.axis()
-    return 0.5 * (1.0 + n[0] * s.r_x + n[2] * s.r_z)
+    return sign * np.sin(angle), np.cos(angle)
 
 
 @dataclass(frozen=True)
@@ -164,11 +73,6 @@ class ChannelModel:
         return out_x, shrink * np.asarray(r_y), out_z
 
 
-def apply_channel(c: ChannelModel, s: BlochState) -> BlochState:
-    rx, ry, rz = c.apply_array(s.r_x, s.r_y, s.r_z)
-    return BlochState(float(rx), float(ry), float(rz))
-
-
 def channel_r_parameters(c: ChannelModel) -> dict:
     """Post-channel Bloch components of the four BB84 states.
 
@@ -176,20 +80,10 @@ def channel_r_parameters(c: ChannelModel) -> dict:
     error-rate formulas; r_z_plus and r_x_0 (nonzero only under rotation) feed
     the optimal-bias expressions.
     """
-    plus = apply_channel(c, bb84_state(BASIS_X, 0))
-    minus = apply_channel(c, bb84_state(BASIS_X, 1))
-    zero = apply_channel(c, bb84_state(BASIS_Z, 0))
-    one = apply_channel(c, bb84_state(BASIS_Z, 1))
-    return {
-        "r_x_plus": plus.r_x,
-        "r_z_plus": plus.r_z,
-        "r_x_minus": minus.r_x,
-        "r_z_minus": minus.r_z,
-        "r_x_0": zero.r_x,
-        "r_z_0": zero.r_z,
-        "r_x_1": one.r_x,
-        "r_z_1": one.r_z,
-    }
+    r_x, _, r_z = c.apply_array(*bb84_bloch(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])))
+    return {f"r_{axis}_{state}": float(r[i])
+            for i, state in enumerate(("plus", "minus", "0", "1"))
+            for axis, r in (("x", r_x), ("z", r_z))}
 
 
 def true_error_rates(c: ChannelModel) -> tuple[float, float]:

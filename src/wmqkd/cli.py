@@ -62,6 +62,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _bind_values(argv: list[str]) -> list[str]:
+    """Pass `--values LIST` as `--values=LIST`: argparse reads a bare -0.2,0,0.1 as an option."""
+    args = iter(argv)
+    return [f"{arg}={next(args, '')}" if arg == "--values" else arg for arg in args]
+
+
 def _load_config(args):
     cfg = parse_config(args.config) if args.config else parse_config_text(DEFAULT_CONFIG)
     return config_with_seed(cfg, args.seed)
@@ -144,7 +150,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
         if args.command == "run":
             return _cmd_run(args, require_attack=False)
         if args.command == "attack":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy import stats as sps
@@ -99,18 +100,25 @@ class SignalLog:
 
 
 SIGNAL_LOG_HEADER = "s_A,b,h,omega,s_B,intensity_class"
+_LOG_RECORD = "%d,%d,%d,%.17g,%d,%d\n"
+_LOG_FLAG_VALUES = {"s_A": (0, 1), "b": (0, 1), "h": (0, 1), "s_B": (NO_CLICK, 0, 1),
+                    "intensity_class": tuple(INTENSITY_NAMES)}
+_WRITE_CHUNK = 1 << 16
 
 
 def write_signal_log(path, log: SignalLog) -> None:
     """Write the interchange file: header + one decimal-text record per signal."""
+    columns = (log.s_a, log.b, log.h, log.omega, log.s_b, log.intensity)
     with open(path, "w", newline="\n") as fh:
         fh.write(SIGNAL_LOG_HEADER + "\n")
-        for i in range(len(log)):
-            fh.write(f"{log.s_a[i]},{log.b[i]},{log.h[i]},"
-                     f"{log.omega[i]:.17g},{log.s_b[i]},{log.intensity[i]}\n")
+        for lo in range(0, len(log), _WRITE_CHUNK):
+            rows = zip(*(column[lo:lo + _WRITE_CHUNK].tolist() for column in columns))
+            fields = tuple(chain.from_iterable(rows))
+            fh.write(_LOG_RECORD * (len(fields) // len(columns)) % fields)
 
 
 def read_signal_log(path) -> SignalLog:
+    """Read an interchange file, rejecting flags out of range and non-finite readings."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SIGNAL_LOG_HEADER:
@@ -118,6 +126,14 @@ def read_signal_log(path) -> SignalLog:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise EstimationError("empty signal log")
+    for name, column in zip(SIGNAL_LOG_HEADER.split(","), data.T):
+        if name == "omega":
+            bad, wanted = ~np.isfinite(column), "a finite reading"
+        else:
+            bad, wanted = ~np.isin(column, _LOG_FLAG_VALUES[name]), f"one of {_LOG_FLAG_VALUES[name]}"
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise EstimationError(f"{path} line {row + 2}: {name} = {column[row]:g} is not {wanted}")
     return SignalLog(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5])
 
 

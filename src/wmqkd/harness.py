@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import adversary as adv
-from .bloch import ChannelModel, apply_channel, bb84_state, binary_entropy
+from .bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis
 from .estimation import (
     INTENSITY_NAMES,
     INTENSITY_SIGNAL,
@@ -51,7 +51,7 @@ from .keyrate import (
     wm_decoy_chain,
     wm_decoy_rate,
 )
-from .pointer import PointerConfig, measure_array, wm_disturbance_error
+from .pointer import PointerConfig, measure_array, pointer_variance, wm_disturbance_error
 
 BLOCK_SIZE = 1 << 16
 
@@ -146,9 +146,7 @@ def _alice_block(master_seed: int, block: int, size: int):
     """Alice's bits, basis flags and the Bloch components (x, y, z) of her BB84 states."""
     s_a = _block_bits(master_seed, "alice_bits", block, size)
     b = _block_bits(master_seed, "alice_basis", block, size)
-    sign = np.where(s_a == 0, 1.0, -1.0)
-    z_basis = b == 0
-    return s_a, b, (np.where(z_basis, 0.0, sign), np.zeros(size), np.where(z_basis, sign, 0.0))
+    return s_a, b, bb84_bloch(s_a, b)
 
 
 def _block_intensities(master_seed: int, block: int, size: int, probs) -> np.ndarray:
@@ -180,9 +178,7 @@ def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, master_seed: int, 
     if attack.strategy != "biased_observables":
         return np.zeros(len(h))
     guess_right = _block_uniform(master_seed, "eve_observable_guess", block, len(h)) < attack.p_h
-    intended = np.where(h == 0, attack.phi, attack.phi_prime)
-    swapped = np.where(h == 0, attack.phi_prime, attack.phi)
-    return np.where(guess_right, intended, swapped)
+    return np.where(guess_right, *adv.observable_biases(h, attack))
 
 
 STAGES = ("source", "channel", "attack", "detection", "measurement", "estimation", "rates")
@@ -342,30 +338,27 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
 # analytic (exact-expectation) mode
 # ---------------------------------------------------------------------------
 
+_CELLS = np.indices((2, 2, 2))  # (s_a, basis, h) of every conditioning cell
+
+
 def _honest_cell_expectations(cfg: ProtocolConfig, attack: adv.AttackConfig) -> np.ndarray:
     """Marginal shifted-branch probability E per (bit, basis, observable) cell."""
-    expectations = np.empty((2, 2, 2))
+    s_a, basis, h = _CELLS
+    r_x, _, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
+    if attack.strategy == "intercept_resend":
+        r_x, r_z = adv.intercept_resend_mean_state(r_x, r_z, basis, attack.p_basis)
+    if attack.strategy == "biased_observables":
+        intended, swapped = adv.observable_biases(h, attack)
+        biases = (attack.p_h, intended), (1.0 - attack.p_h, swapped)
+    else:
+        biases = ((1.0, 0.0),)
     damp = math.exp(-0.5 * cfg.pointer.sigma_phi**2)  # Gaussian angle noise damps exactly
-    for s_a in (0, 1):
-        for basis_flag, basis in enumerate("ZX"):
-            state = apply_channel(cfg.channel, bb84_state(basis, s_a))
-            r_vec = state.as_array()
-            if attack.strategy == "intercept_resend":
-                r_vec = adv.intercept_resend_mean_state(r_vec, basis_flag, attack.p_basis)
-            for h_flag, fam in enumerate((+1.0, -1.0)):
-                if attack.strategy == "biased_observables":
-                    intended = attack.phi if h_flag == 0 else attack.phi_prime
-                    swapped = attack.phi_prime if h_flag == 0 else attack.phi
-                    biases = (attack.p_h, intended), (1.0 - attack.p_h, swapped)
-                else:
-                    biases = ((1.0, 0.0),)
-                e = 0.0
-                for weight, bias in biases:
-                    a = math.pi / 4 + cfg.pointer.bias_phi + bias
-                    e += weight * 0.5 * (
-                        1.0 + damp * (fam * math.sin(a) * r_vec[0] + math.cos(a) * r_vec[2]))
-                expectations[s_a, basis_flag, h_flag] = e
-    return expectations
+    sign = np.where(h == 0, 1.0, -1.0)
+    e = 0.0
+    for weight, bias in biases:
+        axis_x, axis_z = projector_axis(sign, (math.pi / 4 + cfg.pointer.bias_phi) + bias)
+        e = e + weight * 0.5 * (1.0 + damp * (axis_x * r_x + axis_z * r_z))
+    return e
 
 
 def exact_cell_statistics(cfg: ProtocolConfig):
@@ -375,7 +368,7 @@ def exact_cell_statistics(cfg: ProtocolConfig):
     if attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
         return adv.strategy_fake_cell_laws(attack, g, sig)
     e = _honest_cell_expectations(cfg, attack)
-    return g * e, sig**2 + g**2 * e * (1.0 - e)
+    return g * e, pointer_variance(e, g, sig)
 
 
 def analytic_report(cfg: ProtocolConfig) -> EstimationReport:

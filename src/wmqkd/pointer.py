@@ -14,6 +14,11 @@ Bloch component along the projector axis is filtered, the perpendicular part
 is scaled by the branch overlap.  Averaged over readings this reproduces the
 dephasing map with factor e^{-g^2/8 sigma^2}.
 
+States are Bloch-vector arrays, one row per signal, and observables are given
+by their family sign and total axis angle (``wmqkd.bloch.projector_axis``):
+``measure_array`` samples readings and posteriors for a batch, and
+``dephased_state`` is the reading-averaged map.
+
 Variance conventions: simulated readings carry Var[omega] = sigma_md^2 plus
 the binomial branch term g^2 <P>(1-<P>).  Some closed-form device checks are
 stated in coupling-scaled units where the variance is (g sigma_md)^2; use
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochState, Projector
+from .bloch import projector_axis
 
 WEAKNESS_WARN_RATIO = 0.5
 
@@ -85,9 +90,9 @@ def wm_disturbance_error(g: float, sigma: float) -> float:
     return -0.25 * math.expm1(-(g * g) / (8.0 * sigma * sigma))
 
 
-def pointer_variance(p_expectation: float, g: float, sigma: float) -> float:
+def pointer_variance(p_expectation, g: float, sigma: float):
     """Analytic reading variance sigma^2 + g^2 <P>(1-<P>) (physical units)."""
-    return sigma * sigma + g * g * p_expectation * (1.0 - p_expectation)
+    return sigma**2 + g**2 * p_expectation * (1.0 - p_expectation)
 
 
 def coupling_scaled_variance(physical_variance: float, g: float) -> float:
@@ -119,8 +124,7 @@ def measure_array(r, sign, angle, cfg: PointerConfig, rng):
     angle = np.asarray(angle, dtype=float) + cfg.bias_phi
     if cfg.sigma_phi > 0:
         angle = angle + rng.normal(0.0, cfg.sigma_phi, angle.shape)
-    # axis (sign sin, 0, cos) absorbs the family sign: H(-) has a mirrored X component
-    axis_x, axis_z = sign * np.sin(angle), np.cos(angle)
+    axis_x, axis_z = projector_axis(sign, angle)
     rn = r_x * axis_x + r_z * axis_z
     omega = sample_readings(0.5 * (1.0 + rn), cfg.g, cfg.sigma_md, rng)
     # Kraus update: branch weights a <-> P_perp (no shift), b <-> P (shift g)
@@ -142,15 +146,17 @@ def measure_array(r, sign, angle, cfg: PointerConfig, rng):
     return omega, np.stack(posterior, axis=-1)
 
 
-def dephased_state(s: BlochState, p: Projector, cfg: PointerConfig) -> BlochState:
-    """Pointer-averaged post-measurement state.
+def dephased_state(r, sign, angle, cfg: PointerConfig) -> np.ndarray:
+    """Pointer-averaged post-measurement states of H(sign) at total axis angles `angle`.
 
-    The Bloch component along p's axis is preserved; the perpendicular part
-    shrinks by e^{-g^2/8 sigma^2}.
+    r holds (..., 3) Bloch vectors.  The component along the projector axis is
+    preserved; the perpendicular part (all of y) shrinks by e^{-g^2/8 sigma^2}.
+    Unlike `measure_array`, no device bias_phi or angle noise is added.
     """
     f = dephasing_factor(cfg.g, cfg.sigma_md)
-    axis = p.axis()
-    r = s.as_array()
-    rn = float(r @ axis)
-    out = rn * axis + f * (r - rn * axis)
-    return BlochState.from_array(out)
+    r_x, r_y, r_z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
+    axis_x, axis_z = projector_axis(sign, angle)
+    rn = r_x * axis_x + r_z * axis_z
+    return np.stack((rn * axis_x + f * (r_x - rn * axis_x),
+                     f * r_y,
+                     rn * axis_z + f * (r_z - rn * axis_z)), axis=-1)

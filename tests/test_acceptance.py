@@ -20,14 +20,11 @@ from wmqkd.adversary import (
     strategy2_sigma_ratio_crossover,
 )
 from wmqkd.bloch import (
-    BlochState,
     ChannelModel,
-    Projector,
-    apply_channel,
-    bb84_state,
+    bb84_bloch,
     binary_entropy,
     channel_r_parameters,
-    expectation,
+    projector_axis,
     true_error_rates,
 )
 from wmqkd.estimation import (
@@ -71,8 +68,7 @@ def test_criterion_1_disturbance_bound():
     chunk = 1_000_000
     flips = 0
     rng = np.random.default_rng(20170109)
-    states = np.array([bb84_state(b, a).as_array()
-                       for b in "ZX" for a in (0, 1)])
+    states = np.stack(bb84_bloch(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])), axis=-1)
     for _ in range(total // chunk):
         pick = rng.integers(0, 4, chunk)
         r = states[pick]
@@ -163,12 +159,15 @@ def test_criterion_4_complement_identity_and_concavity():
     worst = 0.0
     for _ in range(500):
         theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-        s = BlochState(math.sin(theta) * math.cos(phi),
-                       math.sin(theta) * math.sin(phi), math.cos(theta))
-        proj = Projector.from_family(int(rng.choice([-1, 1])), float(rng.uniform(-1.2, 1.2)))
+        s = np.array([math.sin(theta) * math.cos(phi),
+                      math.sin(theta) * math.sin(phi), math.cos(theta)])
+        sign, angle = int(rng.choice([-1, 1])), math.pi / 4 + float(rng.uniform(-1.2, 1.2))
+        axis_x, axis_z = projector_axis(sign, angle)
         chan = ChannelModel(float(rng.uniform(0, 1)), float(rng.uniform(-math.pi, math.pi)))
-        total = expectation(proj, apply_channel(chan, s)) + expectation(
-            proj, apply_channel(chan, s.negate()))
+        total = 0.0
+        for r in (s, -s):  # the state and its complement
+            r_x, _, r_z = chan.apply_array(*r)
+            total += 0.5 * (1.0 + axis_x * r_x + axis_z * r_z)
         worst = max(worst, abs(total - 1.0))
     assert worst < 1e-12
 

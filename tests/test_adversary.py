@@ -16,12 +16,13 @@ from wmqkd.adversary import (
     strategy2_sigma_ratio_crossover,
     strategy_fake_cell_laws,
 )
-from wmqkd.bloch import BlochState, ChannelModel, bb84_state, binary_entropy, channel_r_parameters
+from wmqkd.bloch import ChannelModel, bb84_bloch, binary_entropy, channel_r_parameters
 from wmqkd.pointer import PointerConfig, measure_array
 
 
 def z0_states(n):
-    return np.tile(bb84_state("Z", 0).as_array(), (n, 1))
+    flags = np.zeros(n, dtype=np.uint8)
+    return np.stack(bb84_bloch(flags, flags), axis=-1)
 
 
 def measure_pair(r, first_sign, cfg, rng):
@@ -67,7 +68,7 @@ class TestInterceptResend:
         cfg = AttackConfig(strategy="intercept_resend", p_basis=1.0)
         out, _, _ = intercept_resend_array(z0_states(50), np.zeros(50, dtype=np.uint8), cfg.p_basis, rng)
         for row in out:
-            assert BlochState.from_array(row) == bb84_state("Z", 0)
+            assert np.array_equal(row, [0.0, 0.0, 1.0])
 
     def test_half_basis_knowledge_mean_state(self):
         rng = np.random.default_rng(1)
@@ -82,7 +83,7 @@ class TestInterceptResend:
         # Z-sent, Z-measured error rate is (1 - p_basis)/2
         rng = np.random.default_rng(2)
         n = 200_000
-        r = np.tile(bb84_state("Z", 0).as_array(), (n, 1))
+        r = z0_states(n)
         basis = np.zeros(n, dtype=np.uint8)
         out, _, _ = intercept_resend_array(r, basis, p_basis, rng)
         flips = rng.random(n) < 0.5 * (1.0 - out[:, 2])

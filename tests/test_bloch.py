@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wmqkd.bloch import (
-    BlochState,
     ChannelModel,
-    Projector,
-    apply_channel,
-    bb84_state,
+    bb84_bloch,
     binary_entropy,
     channel_r_parameters,
-    expectation,
+    projector_axis,
     true_error_rates,
 )
 
@@ -22,11 +19,11 @@ ROOT2 = math.sqrt(2.0)
 def unit_states(allow_mixed=True):
     def build(theta, phi, scale):
         r = scale if allow_mixed else 1.0
-        return BlochState(
+        return np.array([
             r * math.sin(theta) * math.cos(phi),
             r * math.sin(theta) * math.sin(phi),
             r * math.cos(theta),
-        )
+        ])
     return st.builds(
         build,
         st.floats(0, math.pi),
@@ -36,55 +33,62 @@ def unit_states(allow_mixed=True):
 
 
 def projectors():
+    """(family sign, total axis angle pi/4 + bias) of H(+-, bias)."""
     return st.builds(
-        Projector.from_family,
+        lambda sign, bias: (sign, math.pi / 4 + bias),
         st.sampled_from([+1, -1]),
         st.floats(-1.5, 1.5),
     )
 
 
+def expectation(proj, r):
+    """Tr(H rho) = (1 + axis . r)/2."""
+    axis_x, axis_z = projector_axis(*proj)
+    return 0.5 * (1.0 + axis_x * r[0] + axis_z * r[2])
+
+
+def bb84(basis, bit):
+    return np.array(bb84_bloch(bit, basis))
+
+
+H_PLUS = (1, math.pi / 4)
+
+
 class TestBlochState:
-    def test_norm_validation(self):
-        BlochState(0.6, 0.0, 0.8)
-        with pytest.raises(ValueError):
-            BlochState(1.0, 0.0, 0.1)
-
     def test_bb84_states(self):
-        assert bb84_state("Z", 0) == BlochState(0, 0, 1)
-        assert bb84_state("X", 1) == BlochState(-1, 0, 0)
-        assert bb84_state("X", 0) == BlochState(1, 0, 0)
-        assert bb84_state(0, 1) == BlochState(0, 0, -1)  # flag alias: 0 = Z
-        for basis in ("Z", "X"):
+        assert np.array_equal(bb84(0, 0), [0, 0, 1])
+        assert np.array_equal(bb84(1, 1), [-1, 0, 0])
+        assert np.array_equal(bb84(1, 0), [1, 0, 0])
+        assert np.array_equal(bb84(0, 1), [0, 0, -1])
+        for basis in (0, 1):
             for bit in (0, 1):
-                assert bb84_state(basis, bit).norm == 1.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            bb84_state("Y", 0)
-        with pytest.raises(ValueError):
-            bb84_state("Z", 2)
+                assert np.linalg.norm(bb84(basis, bit)) == 1.0
+        # a block of flags gives one component array per axis
+        r_x, r_y, r_z = bb84_bloch(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+        assert np.array_equal(np.stack([r_x, r_y, r_z], axis=-1),
+                              [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0]])
 
 
 class TestExpectation:
     def test_h_plus_at_zero_ket(self):
         # 1/2 + 1/(2 sqrt 2)
-        value = expectation(Projector.h_plus(), bb84_state("Z", 0))
+        value = expectation(H_PLUS, bb84(0, 0))
         assert value == pytest.approx(0.8535533905932737, abs=1e-15)
 
     def test_h_minus_at_plus_ket(self):
-        value = expectation(Projector.h_minus(), bb84_state("X", 0))
+        value = expectation((-1, math.pi / 4), bb84(1, 0))
         assert value == pytest.approx(0.5 - 1 / (2 * ROOT2), abs=1e-15)
 
     def test_maximally_mixed(self):
-        for proj in (Projector.h_plus(), Projector.h_minus(0.3), Projector.h_plus(-0.9)):
-            assert expectation(proj, BlochState(0, 0, 0)) == pytest.approx(0.5, abs=1e-15)
+        for proj in (H_PLUS, (-1, math.pi / 4 + 0.3), (1, math.pi / 4 - 0.9)):
+            assert expectation(proj, np.zeros(3)) == pytest.approx(0.5, abs=1e-15)
 
     def test_biased_form(self):
         # general-angle expectation (1 +- r_x sin(pi/4+phi) + r_z cos(pi/4+phi))/2
         phi = 0.17
-        s = BlochState(0.3, 0.1, -0.5)
+        s = np.array([0.3, 0.1, -0.5])
         want = 0.5 * (1 - 0.3 * math.sin(math.pi / 4 + phi) - 0.5 * math.cos(math.pi / 4 + phi))
-        assert expectation(Projector.h_minus(phi), s) == pytest.approx(want, abs=1e-15)
+        assert expectation((-1, math.pi / 4 + phi), s) == pytest.approx(want, abs=1e-15)
 
     @given(projectors(), unit_states())
     def test_in_unit_interval(self, proj, state):
@@ -93,39 +97,39 @@ class TestExpectation:
 
     @given(projectors(), unit_states(allow_mixed=False))
     def test_complement_identity(self, proj, state):
-        total = expectation(proj, state) + expectation(proj, state.negate())
+        total = expectation(proj, state) + expectation(proj, -state)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @given(projectors(), unit_states(allow_mixed=False),
            st.floats(0, 1), st.floats(-math.pi, math.pi))
     def test_complement_identity_through_channel(self, proj, state, p, theta):
         chan = ChannelModel(p, theta)
-        total = expectation(proj, apply_channel(chan, state)) + expectation(
-            proj, apply_channel(chan, state.negate()))
+        total = expectation(proj, chan.apply_array(*state)) + expectation(
+            proj, chan.apply_array(*-state))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChannel:
     def test_identity(self):
-        s = bb84_state("Z", 0)
-        assert apply_channel(ChannelModel(), s) == s
+        s = bb84(0, 0)
+        assert np.array_equal(ChannelModel().apply_array(*s), s)
 
     def test_uniform_shrink(self):
-        out = apply_channel(ChannelModel(depolarizing_prob=0.2), bb84_state("X", 0))
-        assert out.as_array() == pytest.approx([0.8, 0, 0], abs=1e-15)
+        out = ChannelModel(depolarizing_prob=0.2).apply_array(*bb84(1, 0))
+        assert out == pytest.approx([0.8, 0, 0], abs=1e-15)
 
     def test_quarter_rotation(self):
-        out = apply_channel(ChannelModel(rotation_theta=math.pi / 2), bb84_state("Z", 0))
-        assert out.as_array() == pytest.approx([1, 0, 0], abs=1e-15)
+        out = ChannelModel(rotation_theta=math.pi / 2).apply_array(*bb84(0, 0))
+        assert out == pytest.approx([1, 0, 0], abs=1e-15)
 
     def test_fixes_maximally_mixed(self):
-        out = apply_channel(ChannelModel(0.7, 1.1), BlochState(0, 0, 0))
-        assert out == BlochState(0, 0, 0)
+        out = ChannelModel(0.7, 1.1).apply_array(0.0, 0.0, 0.0)
+        assert np.array_equal(out, [0, 0, 0])
 
     @given(st.floats(0, 1), st.floats(-math.pi, math.pi), unit_states())
     def test_norm_never_grows(self, p, theta, state):
-        out = apply_channel(ChannelModel(p, theta), state)
-        assert out.norm <= state.norm + 1e-12
+        out = ChannelModel(p, theta).apply_array(*state)
+        assert np.linalg.norm(out) <= np.linalg.norm(state) + 1e-12
 
     def test_intrinsic_error_mapping(self):
         chan = ChannelModel.from_intrinsic_error(0.015)

@@ -1,11 +1,12 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wmqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, main
 from wmqkd.config import ConfigError, DEFAULT_CONFIG, parse_config_text
 from wmqkd.estimation import write_signal_log
-from wmqkd.harness import ProtocolConfig, channel_estimation_log, set_config_axis, sweep
+from wmqkd.harness import ProtocolConfig, channel_estimation_log, run_protocol, set_config_axis, sweep
 from wmqkd.bloch import ChannelModel
 from wmqkd.pointer import PointerConfig
 
@@ -185,6 +186,19 @@ class TestSweepCommand:
                      "--axis", "bogus.axis", "--values", "1"])
         assert code == EXIT_USAGE
 
+    def test_negative_first_value(self, tmp_path):
+        # a list starting with a negative number is a value, with or without '='
+        cfg = write(tmp_path, "run.ini", QUICK)
+        texts = []
+        for form in (["--values", "-0.2,0,0.1"], ["--values=-0.2,0,0.1"]):
+            out = tmp_path / form[0]
+            code = main(["--config", cfg, "--out", str(out), "sweep", "--axis", "attack.phi", *form])
+            assert code == EXIT_OK
+            texts.append((out / "sweep.csv").read_text())
+        assert texts[0] == texts[1]
+        rows = texts[0].splitlines()
+        assert len(rows) == 4 and rows[1].startswith("attack.phi,-0.2")
+
     def test_empty_values(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)
         code = main(["--config", cfg, "--out", str(tmp_path), "sweep",
@@ -230,6 +244,23 @@ class TestVerifyCommand:
         write_signal_log(path, log)
         code = main(["--out", str(tmp_path), "verify", str(path)])
         assert code == EXIT_ABORT
+
+    @pytest.mark.parametrize("column,value,records", [
+        ("s_a", 7, "clicked_signal"),   # gave "empty or singleton conditioning cell", exit 2
+        ("h", 5, "unclicked"),          # passed every check, exit 0
+        ("omega", np.nan, "clicked_signal"),  # gave qber = nan, exit 3
+    ])
+    def test_out_of_range_log_is_usage_error(self, tmp_path, capsys, column, value, records):
+        log = run_protocol(ProtocolConfig(n_signals=100_000, master_seed=7), keep_log=True).log
+        pick = log.clicked & (log.intensity == 0) if records == "clicked_signal" else ~log.clicked
+        row = int(np.flatnonzero(pick)[0])
+        getattr(log, column)[row] = value
+        path = tmp_path / "log.csv"
+        write_signal_log(path, log)
+        code = main(["--out", str(tmp_path), "verify", str(path)])
+        assert code == EXIT_USAGE
+        header_name = {"s_a": "s_A", "h": "h", "omega": "omega"}[column]
+        assert f"line {row + 2}: {header_name} = " in capsys.readouterr().err
 
     def test_missing_log_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "verify", str(tmp_path / "no.csv")]) == EXIT_USAGE

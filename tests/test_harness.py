@@ -197,6 +197,54 @@ def reference_channel_estimation_log(channel, pointer, n, seed):
     return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))
 
 
+def reference_cell_expectations(cfg, attack):
+    """The scalar per-cell loop the analytic mode ran before it was vectorised.
+
+    Per cell: BB84 state, channel, intercept-resend mean, then the
+    p_h-weighted expectation at (pi/4 + bias_phi) + bias.
+    """
+    expectations = np.empty((2, 2, 2))
+    damp = math.exp(-0.5 * cfg.pointer.sigma_phi**2)
+    z_axis, x_axis = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    for s_a in (0, 1):
+        sign = 1.0 if s_a == 0 else -1.0
+        for basis_flag in (0, 1):
+            state = (0.0, 0.0, sign) if basis_flag == 0 else (sign, 0.0, 0.0)
+            r_vec = np.array([float(c) for c in cfg.channel.apply_array(*state)])
+            if attack.strategy == "intercept_resend":
+                e_true, e_other = (z_axis, x_axis) if basis_flag == 0 else (x_axis, z_axis)
+                r_vec = (attack.p_basis * (r_vec @ e_true) * e_true
+                         + (1.0 - attack.p_basis) * (r_vec @ e_other) * e_other)
+            for h_flag, fam in enumerate((+1.0, -1.0)):
+                if attack.strategy == "biased_observables":
+                    intended = attack.phi if h_flag == 0 else attack.phi_prime
+                    swapped = attack.phi_prime if h_flag == 0 else attack.phi
+                    biases = (attack.p_h, intended), (1.0 - attack.p_h, swapped)
+                else:
+                    biases = ((1.0, 0.0),)
+                e = 0.0
+                for weight, bias in biases:
+                    a = math.pi / 4 + cfg.pointer.bias_phi + bias
+                    e += weight * 0.5 * (
+                        1.0 + damp * (fam * math.sin(a) * r_vec[0] + math.cos(a) * r_vec[2]))
+                expectations[s_a, basis_flag, h_flag] = e
+    return expectations
+
+
+def _random_analytic_config(rng):
+    strategy = ("none", "intercept_resend", "biased_observables")[rng.integers(3)]
+    attack = AttackConfig(strategy=strategy, p_basis=float(rng.uniform(0.5, 1.0)),
+                          p_h=float(rng.uniform(0.5, 1.0)), phi=float(rng.uniform(-0.6, 0.6)),
+                          phi_prime=float(rng.uniform(-0.6, 0.6)))
+    sigma_md = float(rng.uniform(0.5, 2.0))
+    pointer = PointerConfig(g=float(rng.uniform(0.0, 0.5)) * sigma_md, sigma_md=sigma_md,
+                            sigma_phi=float(rng.choice([0.0, rng.uniform(0.0, 0.4)])),
+                            bias_phi=float(rng.choice([0.0, rng.uniform(-0.3, 0.3)])))
+    channel = ChannelModel(depolarizing_prob=float(rng.uniform(0.0, 1.0)),
+                           rotation_theta=float(rng.uniform(-math.pi, math.pi)))
+    return ProtocolConfig(pointer=pointer, channel=channel, attack=attack)
+
+
 LOG_COLUMNS = ("s_a", "b", "h", "omega", "s_b", "intensity")
 EQUIVALENCE_N = 3 * (1 << 16) + 123
 EQUIVALENCE_ATTACKS = {
@@ -381,6 +429,20 @@ class TestAnalyticMode:
         se = np.sqrt(var / stats.count)
         assert np.all(np.abs(stats.mean - mean) < 5 * se)
         assert stats.var == pytest.approx(var, rel=0.05)
+
+    def test_exact_cells_bit_equal_scalar_reference(self):
+        rng = np.random.default_rng(2017)
+        seen = set()
+        for _ in range(600):
+            cfg = _random_analytic_config(rng)
+            seen.add(cfg.attack.strategy)
+            attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
+            e = reference_cell_expectations(cfg, attack)
+            g, sig = cfg.pointer.g, cfg.pointer.sigma_md
+            mean, var = exact_cell_statistics(cfg)
+            assert mean.tobytes() == (g * e).tobytes()
+            assert var.tobytes() == (sig**2 + g**2 * e * (1.0 - e)).tobytes()
+        assert seen == {"none", "intercept_resend", "biased_observables"}
 
     def test_abort_monotone_in_noise(self):
         cfg = ProtocolConfig(n_signals=1000, master_seed=1)

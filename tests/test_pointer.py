@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wmqkd.bloch import BlochState, Projector, bb84_state, expectation
+from wmqkd.bloch import bb84_bloch, projector_axis
 from wmqkd.pointer import (
     PointerConfig,
     dephased_state,
@@ -14,6 +14,18 @@ from wmqkd.pointer import (
     pointer_variance,
     wm_disturbance_error,
 )
+
+QUARTER = math.pi / 4  # total axis angle of the unbiased H+-
+
+
+def axis(sign=1.0, angle=QUARTER):
+    """(3,) Bloch axis of H(sign) at a total angle."""
+    axis_x, axis_z = projector_axis(sign, angle)
+    return np.array([axis_x, 0.0, axis_z])
+
+
+def bb84(basis, bit):
+    return np.array(bb84_bloch(bit, basis))
 
 
 class TestPointerConfig:
@@ -56,60 +68,56 @@ class TestDisturbance:
 
 class TestDephasedState:
     def test_zero_coupling_identity(self):
-        s = BlochState(0.3, 0.2, 0.5)
+        s = np.array([0.3, 0.2, 0.5])
         cfg = PointerConfig(g=0.0, sigma_md=1.0)
-        assert dephased_state(s, Projector.h_plus(), cfg) == s
+        assert np.array_equal(dephased_state(s, 1.0, QUARTER, cfg), s)
 
     def test_eigenstate_untouched(self):
-        axis = Projector.h_plus().axis()
-        s = BlochState.from_array(axis)
+        s = axis()
         cfg = PointerConfig(g=0.4, sigma_md=1.0)
-        out = dephased_state(s, Projector.h_plus(), cfg)
-        assert out.as_array() == pytest.approx(axis, abs=1e-15)
+        out = dephased_state(s, 1.0, QUARTER, cfg)
+        assert out == pytest.approx(axis(), abs=1e-15)
 
     def test_perpendicular_shrink(self):
         cfg = PointerConfig(g=0.1, sigma_md=1.0)
-        out = dephased_state(bb84_state("Z", 0), Projector.h_plus(), cfg)
+        out = dephased_state(bb84(0, 0), 1.0, QUARTER, cfg)
         f = dephasing_factor(0.1, 1.0)
         assert f == pytest.approx(0.998750780924581, abs=1e-12)
-        axis = Projector.h_plus().axis()
-        r = bb84_state("Z", 0).as_array()
-        rn = r @ axis
-        expected = rn * axis + f * (r - rn * axis)
-        assert out.as_array() == pytest.approx(expected, abs=1e-15)
+        n = axis()
+        r = bb84(0, 0)
+        rn = r @ n
+        expected = rn * n + f * (r - rn * n)
+        assert out == pytest.approx(expected, abs=1e-15)
 
 
 class TestSampling:
     def test_eigenstate_no_backaction(self):
         rng = np.random.default_rng(3)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
-        proj = Projector.h_plus()
         n = 4000
         values, post = measure_array(
-            np.tile(proj.axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
-        assert post == pytest.approx(np.tile(proj.axis(), (n, 1)), abs=1e-12)
+            np.tile(axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
+        assert post == pytest.approx(np.tile(axis(), (n, 1)), abs=1e-12)
         # pointer ~ N(g, sigma^2) for the +1 eigenstate
         assert np.mean(values) == pytest.approx(0.3, abs=4 * 1.0 / math.sqrt(4000))
 
     def test_orthogonal_eigenstate(self):
         rng = np.random.default_rng(4)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
-        proj = Projector.h_plus()
         n = 4000
         values, _ = measure_array(
-            np.tile(-proj.axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
+            np.tile(-axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
         assert np.mean(values) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
 
     def test_pointer_moments(self):
         # mean -> g <P>, variance -> sigma^2 + g^2 <P>(1-<P>)
         rng = np.random.default_rng(5)
         cfg = PointerConfig(g=0.4, sigma_md=1.0)
-        s = bb84_state("Z", 0)
-        proj = Projector.h_plus()
+        s = bb84(0, 0)
         n = 200_000
         omega, _ = measure_array(
-            np.tile(s.as_array(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
-        p = expectation(proj, s)
+            np.tile(s, (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
+        p = 0.5 * (1.0 + axis() @ s)
         assert omega.mean() == pytest.approx(0.4 * p, abs=4 / math.sqrt(n))
         want_var = pointer_variance(p, 0.4, 1.0)
         assert omega.var(ddof=1) == pytest.approx(want_var, rel=0.02)
@@ -118,13 +126,12 @@ class TestSampling:
         # average posterior over many samples -> dephased_state
         rng = np.random.default_rng(6)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
-        s = BlochState(0.4, 0.3, 0.6)
-        proj = Projector.h_minus()
+        s = np.array([0.4, 0.3, 0.6])
         n = 120_000
         sign = -np.ones(n)
         _, post = measure_array(
-            np.tile(s.as_array(), (n, 1)), sign, np.full(n, math.pi / 4), cfg, rng)
-        target = dephased_state(s, proj, cfg).as_array()
+            np.tile(s, (n, 1)), sign, np.full(n, math.pi / 4), cfg, rng)
+        target = dephased_state(s, -1.0, QUARTER, cfg)
         se = 3.0 / math.sqrt(n)
         assert post.mean(axis=0) == pytest.approx(target, abs=se)
 
@@ -135,13 +142,13 @@ class TestSampling:
         delta = wm_disturbance_error(0.3, 1.0)
         n = 150_000
         for seed, (basis, bit, sign_val) in enumerate(
-                [("Z", 0, 1.0), ("Z", 1, -1.0), ("X", 0, 1.0), ("X", 1, 1.0)]):
+                [(0, 0, 1.0), (0, 1, -1.0), (1, 0, 1.0), (1, 1, 1.0)]):
             rng = np.random.default_rng(100 + seed)
-            s = bb84_state(basis, bit)
+            s = bb84(basis, bit)
             sign = np.full(n, sign_val)
             _, post = measure_array(
-                np.tile(s.as_array(), (n, 1)), sign, np.full(n, math.pi / 4), cfg, rng)
-            overlap = 0.5 * (1.0 + post @ s.as_array())
+                np.tile(s, (n, 1)), sign, np.full(n, math.pi / 4), cfg, rng)
+            overlap = 0.5 * (1.0 + post @ s)
             flips = rng.random(n) > overlap
             se = math.sqrt(delta * (1 - delta) / n)
             assert flips.mean() == pytest.approx(delta, abs=4 * se)
@@ -152,14 +159,14 @@ class TestSampling:
         # (the worst-case coefficient over all states is 1/4)
         g, sphi = 0.4, 0.3
         n = 400_000
-        s = bb84_state("Z", 0)
+        s = bb84(0, 0)
         rng0 = np.random.default_rng(7)
         quiet = PointerConfig(g=g, sigma_md=1.0)
         noisy = PointerConfig(g=g, sigma_md=1.0, sigma_phi=sphi)
-        om0, _ = measure_array(np.tile(s.as_array(), (n, 1)), np.ones(n),
+        om0, _ = measure_array(np.tile(s, (n, 1)), np.ones(n),
                                np.full(n, math.pi / 4), quiet, rng0)
         rng1 = np.random.default_rng(8)
-        om1, _ = measure_array(np.tile(s.as_array(), (n, 1)), np.ones(n),
+        om1, _ = measure_array(np.tile(s, (n, 1)), np.ones(n),
                                np.full(n, math.pi / 4), noisy, rng1)
         se_mean = 4 / math.sqrt(n)
         assert om1.mean() == pytest.approx(om0.mean(), abs=2 * se_mean)
@@ -172,9 +179,9 @@ class TestSampling:
     def test_bias_phi_shifts_mean(self):
         cfg = PointerConfig(g=0.4, sigma_md=1.0, bias_phi=0.2)
         rng = np.random.default_rng(9)
-        s = bb84_state("Z", 0)
+        s = bb84(0, 0)
         n = 200_000
-        omega, _ = measure_array(np.tile(s.as_array(), (n, 1)), np.ones(n),
+        omega, _ = measure_array(np.tile(s, (n, 1)), np.ones(n),
                                  np.full(n, math.pi / 4), cfg, rng)
         want = 0.4 * 0.5 * (1 + math.cos(math.pi / 4 + 0.2))
         assert omega.mean() == pytest.approx(want, abs=4 / math.sqrt(n))

@@ -1,0 +1,45 @@
+"""The benchmark tracer (perfbench/spans.py) can patch every name it lists.
+
+The tracer replaces public functions at the place their callers look them up.
+A rename or deletion under src/ that drops one of those names fails here
+rather than only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def site_values(spans):
+    return {(owner, attr): owner.__dict__.get(attr)
+            for sites in spans.SITES.values() for owner, attr in sites}
+
+
+def test_every_site_is_an_attribute_of_its_owner():
+    spans = load_spans()
+    missing = [f"{span}: {getattr(owner, '__name__', owner)}.{attr}"
+               for span, sites in spans.SITES.items()
+               for owner, attr in sites if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_install_then_uninstall_restores_every_original():
+    spans = load_spans()
+    originals = site_values(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = site_values(spans)
+    finally:
+        tracer.uninstall()
+    assert all(patched[site] is not originals[site] for site in originals)
+    restored = site_values(spans)
+    assert all(restored[site] is originals[site] for site in originals)
