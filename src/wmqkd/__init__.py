@@ -25,12 +25,11 @@ from .harness import ProtocolConfig, RunResult, run_protocol, sweep
 from .keyrate import (
     DecoyConfig,
     SystemParams,
-    decoy_rate,
-    eps1_upper,
-    idealized_rate,
+    decoy_chain,
     q1_lower,
+    smoothed_rate,
+    split_rate,
     transmittance,
-    wm_decoy_rate,
 )
 from .pointer import (
     PointerConfig,

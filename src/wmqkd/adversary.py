@@ -35,13 +35,15 @@ import numpy as np
 
 INV_2ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
-STRATEGIES = (
-    "none",
-    "intercept_resend",
-    "fake_wm_strategy1",
-    "fake_wm_strategy2",
-    "biased_observables",
-)
+# the AttackConfig knobs each strategy reads (strategy 1's Eve always measures Z)
+STRATEGY_FIELDS = {
+    "none": (),
+    "intercept_resend": ("p_basis",),
+    "fake_wm_strategy1": ("p_h", "alpha", "g_eve", "sigma_eve"),
+    "fake_wm_strategy2": ("p_basis", "p_h", "alpha_x", "alpha_z", "g_eve", "sigma_eve"),
+    "biased_observables": ("p_h", "phi", "phi_prime"),
+}
+STRATEGIES = tuple(STRATEGY_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,8 @@ _LOG_RECORD = "%d,%d,%d,%.17g,%d,%d\n"
 _LOG_FLAG_VALUES = {"s_A": (0, 1), "b": (0, 1), "h": (0, 1), "s_B": (NO_CLICK, 0, 1),
                     "intensity_class": tuple(INTENSITY_NAMES)}
 _WRITE_CHUNK = 1 << 16
+_SCAN_CHUNK = 1 << 16  # characters
+_READ_ROWS = 1 << 16
 
 
 def write_signal_log(path, log: SignalLog) -> None:
@@ -117,15 +119,43 @@ def write_signal_log(path, log: SignalLog) -> None:
             fh.write(_LOG_RECORD * (len(fields) // len(columns)) % fields)
 
 
+def _count_records(path, fh) -> int:
+    """Count the records, rejecting with its line number a blank or '#' line,
+    which np.loadtxt would skip.  Reads fh from its start in chunks.  The header
+    ends in a newline, so a blank line is a double newline, which numpy finds
+    faster than str.find (the needle's first character ends every line)."""
+    seen, newlines, tail = 0, 0, ""
+    for chunk in iter(lambda: fh.read(_SCAN_CHUNK), ""):
+        text = tail + chunk
+        newline = np.frombuffer(text.encode(), np.uint8) == ord("\n")
+        if "#" in text or (newline[1:] & newline[:-1]).any():
+            hits = ((text.find("\n\n") + 1, "blank line"), (text.find("#"), "comment"))
+            at, what = min(hit for hit in hits if hit[0] > 0)
+            fh.seek(0)
+            line = fh.read(seen - len(tail) + at).count("\n") + 1
+            raise EstimationError(f"{path} line {line}: {what} (a signal log has neither)")
+        newlines += int(np.count_nonzero(newline)) - (tail == "\n")
+        seen, tail = seen + len(chunk), chunk[-1]
+    return newlines - (tail == "\n")  # the header ends in a newline; the last record may not
+
+
 def read_signal_log(path) -> SignalLog:
-    """Read an interchange file, rejecting flags out of range and non-finite readings."""
+    """Read an interchange file, rejecting blank and comment lines, flags out of
+    range and non-finite readings.  Records are parsed a block at a time into one
+    array of the counted size, so the parse holds no growing copy."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SIGNAL_LOG_HEADER:
             raise EstimationError(f"bad signal-log header {header!r}, expected {SIGNAL_LOG_HEADER!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise EstimationError("empty signal log")
+        fh.seek(0)
+        records = _count_records(path, fh)
+        if records == 0:
+            raise EstimationError("empty signal log")
+        fh.seek(0)
+        fh.readline()
+        data = np.empty((records, len(SIGNAL_LOG_HEADER.split(","))))
+        for lo in range(0, records, _READ_ROWS):
+            data[lo:lo + _READ_ROWS] = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_ROWS)
     for name, column in zip(SIGNAL_LOG_HEADER.split(","), data.T):
         if name == "omega":
             bad, wanted = ~np.isfinite(column), "a finite reading"

@@ -37,6 +37,7 @@ from .estimation import (
     EstimationThresholds,
     SignalLog,
     build_report,
+    dark_count_fraction,
     exact_stats,
     report_from_stats,
 )
@@ -45,11 +46,11 @@ from .keyrate import (
     SystemParams,
     bb84_decoy_chain,
     clip_error,
+    decoy_chain,
     honest_gains,
-    q1_lower,
     smoothed_rate,
+    split_rate,
     wm_decoy_chain,
-    wm_decoy_rate,
 )
 from .pointer import PointerConfig, measure_array, pointer_variance, wm_disturbance_error
 
@@ -301,18 +302,12 @@ def _estimated_key_rate(report: EstimationReport, cfg: ProtocolConfig) -> float:
     if q_nu <= 0.0 or q_mu <= 0.0:
         # no decoy data: fall back to the idealized rate at the estimated QBER
         return smoothed_rate(report.qber)
-    try:
-        q1 = q1_lower(q_mu, q_nu, q_vac, cfg.decoy)
-    except ValueError:
-        return 0.0
-    if q1 <= 0.0:
-        return 0.0
     dz_mu = clip_error(report.delta_z_corrected + (1.0 - report.dark_fraction_signal) * report.delta_wm_estimate)
     dx_nu = report.delta_x_decoy_corrected
     if dx_nu is None:
         dx_nu = report.delta_x_corrected
     dx_nu = clip_error(dx_nu + (1.0 - report.dark_fraction_decoy) * report.delta_wm_estimate)
-    return wm_decoy_rate(q1, q_mu, dz_mu, dx_nu, 0.5, q_nu, q_vac, cfg.system, cfg.decoy)
+    return decoy_chain(q_mu, q_nu, q_vac, dz_mu, dx_nu, cfg.system, cfg.decoy).rate
 
 
 def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
@@ -376,8 +371,8 @@ def analytic_report(cfg: ProtocolConfig) -> EstimationReport:
     mean, var = exact_cell_statistics(cfg)
     q_mu, q_nu, q_vac = honest_gains(cfg.system, cfg.decoy)
     gains = {"signal": q_mu, "decoy": q_nu, "vacuum": q_vac}
-    d_mu = q_vac / q_mu
-    d_nu = q_vac / q_nu
+    d_mu = dark_count_fraction(q_mu, q_vac)
+    d_nu = dark_count_fraction(q_nu, q_vac)
     stats = exact_stats((1.0 - d_mu) * mean, var)
     stats_nu = exact_stats((1.0 - d_nu) * mean, var)
     return report_from_stats(stats, cfg.resolved_thresholds(), gains, stats_decoy=stats_nu)
@@ -411,9 +406,18 @@ def set_config_axis(cfg: ProtocolConfig, axis: str, value) -> ProtocolConfig:
 
 
 def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> list[dict]:
-    """One row per axis value; analytic mode uses exact expectations."""
+    """One row per axis value; analytic mode uses exact expectations.
+
+    An attack knob that the configured strategy does not read is rejected:
+    its rows would all be equal.
+    """
     if mode not in ("analytic", "monte_carlo"):
         raise ValueError(f"mode must be 'analytic' or 'monte_carlo', got {mode!r}")
+    section, _, knob = axis.partition(".")
+    if (section == "attack" and knob != "strategy" and hasattr(base.attack, knob)
+            and knob not in adv.STRATEGY_FIELDS[base.attack.strategy]):
+        raise ValueError(f"axis {axis!r} has no effect: attack.strategy = "
+                         f"{base.attack.strategy!r} does not read {knob!r}")
     rows = []
     for value in values:
         cfg = set_config_axis(base, axis, value)
@@ -425,8 +429,8 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
                 delta_b=report.rates.delta_b, qber=report.qber,
                 abort=report.abort,
                 rate_smoothed=smoothed_rate(report.qber),
-                rate_split=max(1.0 - binary_entropy(clip_error(report.delta_x_corrected))
-                               - binary_entropy(clip_error(report.delta_z_corrected)), 0.0),
+                rate_split=max(split_rate(clip_error(report.delta_x_corrected),
+                                          clip_error(report.delta_z_corrected)), 0.0),
             )
             delta_wm = wm_disturbance_error(cfg.pointer.g, cfg.pointer.sigma_md)
             row["rate_wm_decoy"] = wm_decoy_chain(cfg.system, cfg.decoy, delta_wm).rate
@@ -482,7 +486,7 @@ def fig5_dataset(phis=None, qbers=(0.08, 0.11)):
             db = 0.5 * (dx + dz)
             rows.append([
                 float(qber), float(phi),
-                1.0 - binary_entropy(min(dx, 0.5)) - binary_entropy(min(dz, 0.5)),
+                split_rate(min(dx, 0.5), min(dz, 0.5)),
                 1.0 - 2.0 * binary_entropy(min(db, 0.5)),
             ])
     return header, rows

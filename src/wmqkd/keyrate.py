@@ -4,13 +4,15 @@ Single-photon bounds from the measured gains (Q_mu, Q_nu, Q_vac):
 
     Q_1^L = mu^2 e^-mu / (mu nu - nu^2) [ Q_nu e^nu - Q_mu e^mu (nu/mu)^2
                                           - Q_vac (mu^2 - nu^2)/mu^2 ]
-    eps_1^U = (eps_nu Q_nu e^nu - eps_vac Q_vac) / (Q_1^L e^mu nu/mu)
+    eps_1^U = (eps_nu Q_nu e^nu - Q_vac / 2) / (Q_1^L e^mu nu/mu)
 
-feeding the rate R = q { Q_1^L [1 - H2(eps_1^U)] - Q_mu f H2(eps_mu) }, and the
-split-error variant that replaces eps_1^U by the single-photon X-error bound
-and eps_mu by the Z error of the signal pulses.  Probability-like bounds are
-clamped into their domains after computation, with a diagnostic flag when the
-clamp fired (clamping signals model breakdown, not routine sanitizing).
+feeding R = q { Q_1^L [1 - H2(eps_1^U)] - Q_mu f H2(eps_mu) } with split errors:
+eps_mu is the Z error of the signal pulses, eps_nu the X error of the decoys.
+`decoy_chain` is the one implementation.  Its callers: `wm_decoy_chain` (honest
+gains, errors debited by the measurement back-action), `bb84_decoy_chain` (no
+back-action) and the Monte Carlo run's key rate, fed with estimated gains and
+errors.  A clamp of eps_1^U into [0, 1/2] sets a diagnostic flag (it signals
+model breakdown, not routine sanitizing).
 
 The detection model behind the honest chains is Poissonian:
 Q_gamma = Y0 + 1 - exp(-eta gamma) with eta = eta_d 10^(-loss d / 10).
@@ -33,8 +35,9 @@ class DecoyConfig:
     nu: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 < self.nu < self.mu:
-            raise ValueError(f"need 0 < nu < mu, got nu={self.nu}, mu={self.mu}")
+        # mu nu - nu^2 can round to 0 for nu < mu a few ulps apart
+        if not 0.0 < self.nu < self.mu or self.mu * self.nu - self.nu**2 <= 0:
+            raise ValueError(f"need 0 < nu < mu and mu nu - nu^2 > 0, got nu={self.nu}, mu={self.mu}")
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,10 @@ def single_photon_gain(params: SystemParams, cfg: DecoyConfig) -> float:
 
 def q1_lower(q_mu: float, q_nu: float, q_vac: float, cfg: DecoyConfig) -> float:
     """Decoy lower bound on the single-photon gain, clamped below at 0."""
-    denom = cfg.mu * cfg.nu - cfg.nu**2
-    if denom <= 0:
-        raise ValueError(f"mu nu - nu^2 must be positive, got {denom}")
     bracket = (q_nu * math.exp(cfg.nu)
                - q_mu * math.exp(cfg.mu) * (cfg.nu / cfg.mu) ** 2
                - q_vac * (cfg.mu**2 - cfg.nu**2) / cfg.mu**2)
-    value = cfg.mu**2 * math.exp(-cfg.mu) / denom * bracket
+    value = cfg.mu**2 * math.exp(-cfg.mu) / (cfg.mu * cfg.nu - cfg.nu**2) * bracket
     return max(value, 0.0)
 
 
@@ -112,73 +112,14 @@ def smoothed_rate(qber: float) -> float:
     return max(1.0 - 2.0 * binary_entropy(clip_error(qber)), 0.0)
 
 
-def _eps1_bound(eps_nu: float, q_nu: float, eps_vac: float, q_vac: float,
-                q1_l: float, cfg: DecoyConfig) -> tuple[float, bool]:
-    """eps_1^U clamped to [0, 1/2] (Q_1^L > 0), and whether the clamp fired."""
-    value = (eps_nu * q_nu * math.exp(cfg.nu) - eps_vac * q_vac) / (
-        q1_l * math.exp(cfg.mu) * cfg.nu / cfg.mu)
-    bound = clip_error(value)
-    return bound, bound != value
+def split_rate(delta_x: float, delta_z: float) -> float:
+    """Idealized split rate 1 - H2(delta_X) - H2(delta_Z); callers clip and floor."""
+    return 1.0 - binary_entropy(delta_x) - binary_entropy(delta_z)
 
-
-def eps1_upper(eps_nu: float, q_nu: float, eps_vac: float, q_vac: float,
-               q1_l: float, cfg: DecoyConfig) -> float:
-    """Upper bound on the single-photon bit error rate, clamped to [0, 1/2]."""
-    if q1_l <= 0:
-        raise ValueError("Q_1^L must be positive (the rate is 0 otherwise)")
-    return _eps1_bound(eps_nu, q_nu, eps_vac, q_vac, q1_l, cfg)[0]
-
-
-def decoy_rate(q1_l: float, eps1_u: float, q_mu: float, eps_mu: float,
-               params: SystemParams) -> float:
-    """R = q { Q_1^L [1 - H2(eps_1^U)] - Q_mu f H2(eps_mu) }, floored at 0."""
-    rate = params.q * (q1_l * (1.0 - binary_entropy(eps1_u))
-                       - q_mu * params.f_ec * binary_entropy(eps_mu))
-    return max(rate, 0.0)
-
-
-def wm_decoy_rate(q1_l: float, q_mu: float, delta_z_mu: float, delta_x_nu: float,
-                  delta_x_vac: float, q_nu: float, q_vac: float,
-                  params: SystemParams, cfg: DecoyConfig) -> float:
-    """Split-error decoy rate R = q { Q_1^L [1 - H2(delta_X1^U)] - Q_mu f H2(delta_Z_mu) }.
-
-    delta_X1^U is the single-photon X-error bound built from the decoy and
-    vacuum X errors, clamped to [0, 1/2].
-    """
-    delta_x1 = eps1_upper(delta_x_nu, q_nu, delta_x_vac, q_vac, q1_l, cfg)
-    return decoy_rate(q1_l, delta_x1, q_mu, delta_z_mu, params)
-
-
-@dataclass(frozen=True)
-class IdealizedRate:
-    """Both idealized rate variants; `smoothed` is the conservative one."""
-
-    smoothed: float  # max(1 - 2 H2(delta_b), 0)
-    split: float     # max(1 - H2(delta_X) - H2(delta_Z), 0)
-
-
-def idealized_rate(delta_x: float, delta_z: float) -> IdealizedRate:
-    """Loss-free asymptotic rates from the two error estimates.
-
-    Inputs must land in [0, 1/2]: negatives are rejected here because the
-    verification step upstream owns them; values above 1/2 are rejected.
-    """
-    for name, value in (("delta_x", delta_x), ("delta_z", delta_z)):
-        if not 0.0 <= value <= 0.5:
-            raise ValueError(f"{name} must be in [0, 1/2], got {value}")
-    delta_b = 0.5 * (delta_x + delta_z)
-    smoothed = smoothed_rate(delta_b)
-    split = max(1.0 - binary_entropy(delta_x) - binary_entropy(delta_z), 0.0)
-    return IdealizedRate(smoothed, split)
-
-
-# ---------------------------------------------------------------------------
-# analytic chains (honest model -> rates), used by sweeps and figure datasets
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DecoyRateBreakdown:
-    """One protocol's full decoy chain at a set of system parameters."""
+    """One protocol's full decoy chain at a set of gains and error rates."""
 
     q_mu: float
     q_nu: float
@@ -191,41 +132,49 @@ class DecoyRateBreakdown:
     clamped: bool
 
 
-def bb84_decoy_chain(params: SystemParams, cfg: DecoyConfig,
-                     base_error: float | None = None) -> DecoyRateBreakdown:
-    """BB84-style chain: symmetric errors eps = delta_b at every intensity.
+def decoy_chain(q_mu: float, q_nu: float, q_vac: float, eps_mu: float, eps_nu: float,
+                params: SystemParams, cfg: DecoyConfig) -> DecoyRateBreakdown:
+    """Decoy rate from the gains, the signal error eps_mu and the decoy error eps_nu.
 
-    It is the weak-measurement chain with no back-action and equal X and Z
-    errors; eps_mu / eps_nu land in its Z-signal / X-decoy fields.
+    eps_1^U takes the vacuum error as 1/2 and is clamped into [0, 1/2]
+    (`clamped` says the clamp fired); the rate is floored at 0 and is 0
+    outright when Q_1^L is.
     """
-    return wm_decoy_chain(params, cfg, 0.0, base_error, base_error)
+    q1 = q1_lower(q_mu, q_nu, q_vac, cfg)
+    if q1 <= 0.0:
+        return DecoyRateBreakdown(q_mu, q_nu, q_vac, 0.0, eps_mu, eps_nu, 0.5, 0.0, True)
+    value = (eps_nu * q_nu * math.exp(cfg.nu) - 0.5 * q_vac) / (q1 * math.exp(cfg.mu) * cfg.nu / cfg.mu)
+    eps1 = clip_error(value)
+    rate = params.q * (q1 * (1.0 - binary_entropy(eps1))
+                       - q_mu * params.f_ec * binary_entropy(eps_mu))
+    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, eps_mu, eps_nu, eps1, max(rate, 0.0), eps1 != value)
 
 
-def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float = 0.0,
-                   delta_x: float | None = None, delta_z: float | None = None) -> DecoyRateBreakdown:
-    """Weak-measurement chain: split errors, both debited by delta_wm.
+# ---------------------------------------------------------------------------
+# analytic chains (honest model -> rates), used by sweeps and figure datasets
+# ---------------------------------------------------------------------------
 
-    delta_x / delta_z default to the intrinsic e_d on both bases; the
-    measurement back-action enters every intensity's error budget (the QBER
-    definition includes it) and the vacuum X error is 1/2.
+def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float) -> DecoyRateBreakdown:
+    """Weak-measurement chain on the honest gains, every error debited by delta_wm.
+
+    The measurement back-action enters every intensity's error budget (the
+    QBER definition includes it): e_d + delta_wm, dark-count corrected per
+    intensity, is the error of both the signal and the decoy pulses.
     """
-    dx = (params.e_d if delta_x is None else delta_x) + delta_wm
-    dz = (params.e_d if delta_z is None else delta_z) + delta_wm
     q_mu, q_nu, q_vac = honest_gains(params, cfg)
     d_mu = dark_count_fraction(q_mu, min(q_vac, q_mu))
     d_nu = dark_count_fraction(q_nu, min(q_vac, q_nu))
-    dz_mu = corrected_error_rate(dz, d_mu)
-    dx_nu = corrected_error_rate(dx, d_nu)
-    q1 = q1_lower(q_mu, q_nu, q_vac, cfg)
-    if q1 <= 0.0:
-        return DecoyRateBreakdown(q_mu, q_nu, q_vac, 0.0, dz_mu, dx_nu, 0.5, 0.0, True)
-    dx1, clamped = _eps1_bound(dx_nu, q_nu, 0.5, q_vac, q1, cfg)
-    rate = decoy_rate(q1, dx1, q_mu, dz_mu, params)
-    return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, dz_mu, dx_nu, dx1, rate, clamped)
+    error = params.e_d + delta_wm
+    return decoy_chain(q_mu, q_nu, q_vac, corrected_error_rate(error, d_mu),
+                       corrected_error_rate(error, d_nu), params, cfg)
 
 
-def optimize_intensities(params: SystemParams, mu_grid, nu_grid,
-                         delta_wm: float = 0.0, use_wm_chain: bool = True):
+def bb84_decoy_chain(params: SystemParams, cfg: DecoyConfig) -> DecoyRateBreakdown:
+    """BB84 chain: the weak-measurement chain with no back-action."""
+    return wm_decoy_chain(params, cfg, 0.0)
+
+
+def optimize_intensities(params: SystemParams, mu_grid, nu_grid, delta_wm: float = 0.0):
     """Plain grid search over (mu, nu) maximizing the chain rate."""
     best = (0.0, None)
     for mu in mu_grid:
@@ -233,8 +182,7 @@ def optimize_intensities(params: SystemParams, mu_grid, nu_grid,
             if not 0.0 < nu < mu:
                 continue
             cfg = DecoyConfig(mu=mu, nu=nu)
-            chain = (wm_decoy_chain(params, cfg, delta_wm) if use_wm_chain
-                     else bb84_decoy_chain(params, cfg))
-            if chain.rate > best[0]:
-                best = (chain.rate, cfg)
+            rate = wm_decoy_chain(params, cfg, delta_wm).rate
+            if rate > best[0]:
+                best = (rate, cfg)
     return best

@@ -188,7 +188,7 @@ class TestSweepCommand:
 
     def test_negative_first_value(self, tmp_path):
         # a list starting with a negative number is a value, with or without '='
-        cfg = write(tmp_path, "run.ini", QUICK)
+        cfg = write(tmp_path, "run.ini", QUICK + "[attack]\nstrategy = biased_observables\n")
         texts = []
         for form in (["--values", "-0.2,0,0.1"], ["--values=-0.2,0,0.1"]):
             out = tmp_path / form[0]
@@ -198,6 +198,15 @@ class TestSweepCommand:
         assert texts[0] == texts[1]
         rows = texts[0].splitlines()
         assert len(rows) == 4 and rows[1].startswith("attack.phi,-0.2")
+
+    def test_attack_axis_the_strategy_ignores(self, tmp_path, capsys):
+        # under strategy = none, attack.phi would write identical rows
+        cfg = write(tmp_path, "run.ini", QUICK)
+        code = main(["--config", cfg, "--out", str(tmp_path), "sweep",
+                     "--axis", "attack.phi", "--values", "-0.2,0,0.1"])
+        assert code == EXIT_USAGE
+        assert "has no effect" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_empty_values(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)

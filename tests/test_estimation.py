@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from wmqkd import estimation
 from wmqkd.bloch import ChannelModel, true_error_rates
 from wmqkd.estimation import (
     _delta_gradients,
     ConditionedStats,
     EstimationError,
     EstimationThresholds,
+    SIGNAL_LOG_HEADER,
     SignalLog,
     build_report,
     compute_qber,
@@ -409,6 +411,22 @@ class TestSignalLogIO:
         assert np.all(back.s_a == log.s_a)
         assert np.all(back.s_b == log.s_b)
         assert back.omega == pytest.approx(log.omega, abs=0)
+
+    @pytest.mark.parametrize("body, line, what", [
+        # np.loadtxt skips both lines, so the h = 7 record was reported as line 4
+        ("0,0,0,0.1,0,0\n\n# note\n0,0,0,0.1,0,0\n0,0,7,0.1,0,0\n", 3, "blank line"),
+        ("0,0,0,0.1,0,0\n# note\n0,0,7,0.1,0,0\n", 3, "comment"),
+        ("\n0,0,0,0.1,0,0\n", 2, "blank line"),
+        ("0,0,0,0.1,0,0\n0,0,0,0.1,0,0 # note\n", 3, "comment"),
+        ("0,0,0,0.1,0,0\n\n", 3, "blank line"),
+    ])
+    def test_blank_and_comment_lines_are_rejected(self, tmp_path, monkeypatch, body, line, what):
+        path = tmp_path / "log.csv"
+        path.write_text(SIGNAL_LOG_HEADER + "\n" + body)
+        for chunk in (1, 2, 7, 1 << 16):  # a blank line may straddle two scan chunks
+            monkeypatch.setattr(estimation, "_SCAN_CHUNK", chunk)
+            with pytest.raises(EstimationError, match=f"line {line}: {what}"):
+                read_signal_log(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

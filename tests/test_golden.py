@@ -43,6 +43,8 @@ DIGESTS = {
     "figures.fig3": "c1ba97b57ae53c0a1004d0d17fb32fc8fcb050c265f84318c5a8f8df59b68c5a",
     "figures.fig5": "b4310de6973227b35de681f7348c7c295f2be77ffabcab33eda4623f608ad609",
     "figures.fig6": "6b88a0ea38021e8ca0ea6e00fc83a5582e06de8dcaa059aba8e062a532e49061",
+    "run.no_decoy.report": "485cf17064d3adfbac09912ea3a37532c08b54534c7c1ee33f696ef4fb4396ea",
+    "sweep.system.distance_km": "86f14114648528267afa7b25ace8b0e720df7f582c8c75bf2cb5197e1201e5b9",
 }
 
 
@@ -66,6 +68,17 @@ def produce_outputs(tmp_path):
     main(["--out", str(tmp_path / "sweep"), "sweep", "--axis", "channel.depolarizing_prob",
           "--values", "0,0.02,0.05,0.1,0.2"])
     outputs["sweep.channel.depolarizing_prob"] = tmp_path / "sweep" / "sweep.csv"
+    # no decoy pulses: the run's key rate takes the idealized fallback
+    no_decoy = tmp_path / "no_decoy.ini"
+    no_decoy.write_text(RUN + "[source]\np_signal = 0.9\np_decoy = 0\np_vacuum = 0.1\n")
+    main(["--config", str(no_decoy), "--out", str(tmp_path / "no_decoy"), "run"])
+    outputs["run.no_decoy.report"] = tmp_path / "no_decoy" / "run_report.txt"
+    # the lossy system's decoy rates reach 0 before the last distance
+    lossy = tmp_path / "lossy.ini"
+    lossy.write_text("[system]\neta_d = 0.145\n")
+    main(["--config", str(lossy), "--out", str(tmp_path / "sweep_km"), "sweep",
+          "--axis", "system.distance_km", "--values", "0,20,80,160,250"])
+    outputs["sweep.system.distance_km"] = tmp_path / "sweep_km" / "sweep.csv"
     for which in ("fig3", "fig5", "fig6"):
         main(["--out", str(tmp_path / "figures"), "figures", "--which", which])
         outputs[f"figures.{which}"] = tmp_path / "figures" / f"{which}.csv"

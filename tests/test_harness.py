@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wmqkd.adversary import (
+    STRATEGY_FIELDS,
     AttackConfig,
     intercept_resend_array,
     sample_strategy_fakes,
@@ -453,6 +454,12 @@ class TestAnalyticMode:
         assert all(aborted[first:])
         assert not any(aborted[:first])
 
+    def test_no_detections_is_an_estimation_error(self):
+        # no gain at all: the dark fraction Q_vac / Q_mu is undefined
+        cfg = ProtocolConfig(system=SystemParams(eta_d=0.0, y0=0.0))
+        with pytest.raises(EstimationError, match="Q_gamma must be positive"):
+            analytic_report(cfg)
+
 
 class TestSweep:
     def test_axis_resolution(self):
@@ -477,6 +484,19 @@ class TestSweep:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(), "pointer.g", [0.1], mode="exact")
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_FIELDS))
+    def test_strategy_fields_are_what_the_analytic_report_reads(self, strategy):
+        # every listed knob moves the report, every other knob leaves it as it is
+        values = {"p_basis": (0.6, 0.9), "p_h": (0.6, 0.9), "alpha": (0.9, 1.1),
+                  "alpha_x": (0.9, 1.1), "alpha_z": (0.9, 1.1), "g_eve": (0.04, 0.06),
+                  "sigma_eve": (0.9, 1.1), "phi": (-0.1, 0.1), "phi_prime": (-0.1, 0.1)}
+        attack = AttackConfig(strategy=strategy, p_h=0.8, alpha=1.0, alpha_x=1.0, alpha_z=1.0,
+                              phi=0.1, phi_prime=-0.05)
+        base = ProtocolConfig(channel=ChannelModel(depolarizing_prob=0.05), attack=attack)
+        for knob, pair in values.items():
+            texts = {analytic_report(set_config_axis(base, f"attack.{knob}", v)).to_text() for v in pair}
+            assert (len(texts) == 2) == (knob in STRATEGY_FIELDS[strategy]), knob
 
     def test_monte_carlo_sweep(self):
         cfg = small_cfg(n_signals=150_000)

@@ -8,16 +8,15 @@ from wmqkd.keyrate import (
     DecoyConfig,
     SystemParams,
     bb84_decoy_chain,
-    decoy_rate,
-    eps1_upper,
+    decoy_chain,
     honest_gains,
-    idealized_rate,
     optimize_intensities,
     q1_lower,
     single_photon_gain,
+    smoothed_rate,
+    split_rate,
     transmittance,
     wm_decoy_chain,
-    wm_decoy_rate,
 )
 from wmqkd.pointer import wm_disturbance_error
 
@@ -78,32 +77,32 @@ class TestQ1Lower:
         y0 = 6e-6
         q1 = q1_lower(y0, y0, y0, DECOY)
         assert 0.0 <= q1 <= DECOY.mu * math.exp(-DECOY.mu) * y0
-        e1 = eps1_upper(0.5, y0, 0.5, y0, max(q1, 1e-12), DECOY)
-        assert decoy_rate(q1, e1, y0, 0.5, FIG6) == 0.0
+        assert decoy_chain(y0, y0, y0, 0.5, 0.5, FIG6, DECOY).rate == 0.0
 
     def test_clamp_fires_on_suppressed_decoys(self):
         q_mu, _, q_vac = honest_gains(FIG6, DECOY)
         assert q1_lower(q_mu, 0.0, q_vac, DECOY) == 0.0
 
     def test_bad_intensities(self):
-        degenerate = DecoyConfig.__new__(DecoyConfig)  # bypass constructor validation
-        object.__setattr__(degenerate, "mu", 0.05)
-        object.__setattr__(degenerate, "nu", 0.05)
-        with pytest.raises(ValueError):
-            q1_lower(0.1, 0.01, 0.0, degenerate)
+        # nu < mu, yet mu nu - nu^2, the bound's denominator, rounds to 0
+        for mu, nu in ((math.nextafter(0.05, 1.0), 0.05), (1e-300, 5e-324)):
+            assert nu < mu
+            with pytest.raises(ValueError):
+                DecoyConfig(mu=mu, nu=nu)
 
 
 class TestEps1Upper:
     def test_error_free(self):
-        q_mu, q_nu, q_vac = honest_gains(FIG6, DECOY)
-        q1 = q1_lower(q_mu, q_nu, q_vac, DECOY)
-        assert eps1_upper(0.0, q_nu, 0.0, q_vac, q1, DECOY) == 0.0
+        # no errors and no dark counts: the bound is 0 without clamping
+        q_mu, q_nu, _ = honest_gains(FIG6, DECOY)
+        chain = decoy_chain(q_mu, q_nu, 0.0, 0.0, 0.0, FIG6, DECOY)
+        assert chain.single_photon_error_bound == 0.0
+        assert not chain.clamped
 
     def test_monotone_in_decoy_error(self):
         q_mu, q_nu, q_vac = honest_gains(FIG6, DECOY)
-        q1 = q1_lower(q_mu, q_nu, q_vac, DECOY)
-        e1 = eps1_upper(0.02, q_nu, 0.5, q_vac, q1, DECOY)
-        e2 = eps1_upper(0.04, q_nu, 0.5, q_vac, q1, DECOY)
+        e1 = decoy_chain(q_mu, q_nu, q_vac, 0.02, 0.02, FIG6, DECOY).single_photon_error_bound
+        e2 = decoy_chain(q_mu, q_nu, q_vac, 0.02, 0.04, FIG6, DECOY).single_photon_error_bound
         assert e2 > e1
 
     def test_above_intrinsic_with_dark_vacuum(self):
@@ -111,17 +110,19 @@ class TestEps1Upper:
         assert chain.single_photon_error_bound > FIG6.e_d
         assert chain.single_photon_error_bound < 2 * chain.eps_nu
 
-    def test_requires_positive_q1(self):
-        with pytest.raises(ValueError):
-            eps1_upper(0.01, 0.001, 0.5, 1e-6, 0.0, DECOY)
-
 
 class TestRates:
     def test_perfect_channel(self):
-        assert decoy_rate(0.01, 0.0, 0.02, 0.0, FIG6) == pytest.approx(0.5 * 0.01)
+        # no errors, no dark counts: R = q Q_1^L
+        params = SystemParams(y0=0.0)
+        chain = decoy_chain(*honest_gains(params, DECOY), 0.0, 0.0, params, DECOY)
+        assert chain.q1_l > 0
+        assert chain.rate == pytest.approx(0.5 * chain.q1_l)
 
     def test_entropy_kills_rate(self):
-        assert decoy_rate(0.01, 0.5, 0.02, 0.2, FIG6) == 0.0
+        chain = decoy_chain(*honest_gains(FIG6, DECOY), 0.2, 0.5, FIG6, DECOY)
+        assert chain.single_photon_error_bound == 0.5
+        assert chain.rate == 0.0
 
     def test_fig6_rate_positive_20km(self):
         chain = bb84_decoy_chain(FIG6, DECOY)
@@ -132,20 +133,10 @@ class TestRates:
                       - chain.q_mu * 1.22 * binary_entropy(chain.eps_mu))
         assert chain.rate == pytest.approx(want, rel=1e-9)
 
-    def test_wm_equals_bb84_for_symmetric_errors(self):
-        # delta_X = delta_Z everywhere -> identical to the eps = delta_b chain
-        q_mu, q_nu, q_vac = honest_gains(FIG6, DECOY)
-        q1 = q1_lower(q_mu, q_nu, q_vac, DECOY)
-        eps = 0.02
-        r_wm = wm_decoy_rate(q1, q_mu, eps, eps, eps, q_nu, q_vac, FIG6, DECOY)
-        e1 = eps1_upper(eps, q_nu, eps, q_vac, q1, DECOY)
-        r_bb = decoy_rate(q1, e1, q_mu, eps, FIG6)
-        assert r_wm == pytest.approx(r_bb, rel=1e-12)
-
     def test_wm_zero_errors(self):
         q_mu, q_nu, q_vac = honest_gains(FIG6, DECOY)
         q1 = q1_lower(q_mu, q_nu, q_vac, DECOY)
-        assert wm_decoy_rate(q1, q_mu, 0.0, 0.0, 0.0, q_nu, q_vac, FIG6, DECOY) == \
+        assert decoy_chain(q_mu, q_nu, q_vac, 0.0, 0.0, FIG6, DECOY).rate == \
             pytest.approx(0.5 * q1)
 
     def test_split_beats_average_when_x_dominates(self):
@@ -153,40 +144,31 @@ class TestRates:
         # term carries the larger weight)
         for d in (10.0, 30.0, 50.0):
             p = SystemParams(eta_d=0.145, y0=6e-6, distance_km=d, e_d=0.015)
-            q_mu, q_nu, q_vac = honest_gains(p, DECOY)
-            q1 = q1_lower(q_mu, q_nu, q_vac, DECOY)
+            gains = honest_gains(p, DECOY)
             for dx, dz in [(0.03, 0.01), (0.05, 0.02), (0.02, 0.02)]:
                 eps = 0.5 * (dx + dz)
-                r_wm = wm_decoy_rate(q1, q_mu, dz, dx, 0.5, q_nu, q_vac, p, DECOY)
-                e1 = eps1_upper(eps, q_nu, 0.5, q_vac, q1, DECOY)
-                r_bb = decoy_rate(q1, e1, q_mu, eps, p)
+                r_wm = decoy_chain(*gains, dz, dx, p, DECOY).rate
+                r_bb = decoy_chain(*gains, eps, eps, p, DECOY).rate
                 assert r_wm >= r_bb - 1e-15
 
 
 class TestIdealizedRate:
     def test_zero_errors(self):
-        out = idealized_rate(0.0, 0.0)
-        assert out.smoothed == 1.0 and out.split == 1.0
+        assert smoothed_rate(0.0) == 1.0 and split_rate(0.0, 0.0) == 1.0
 
     def test_threshold_edge(self):
-        out = idealized_rate(0.11, 0.11)
-        assert out.smoothed == pytest.approx(1.680836709440081e-4, rel=1e-9)
+        assert smoothed_rate(0.11) == pytest.approx(1.680836709440081e-4, rel=1e-9)
 
     def test_beyond_threshold_clamps(self):
-        assert idealized_rate(0.12, 0.12).smoothed == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            idealized_rate(-0.01, 0.1)
-        with pytest.raises(ValueError):
-            idealized_rate(0.1, 0.6)
+        assert smoothed_rate(0.12) == 0.0
+        assert split_rate(0.12, 0.12) < 0.0  # the split rate leaves the floor to its callers
 
     def test_split_dominates_smoothed(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             dx, dz = rng.uniform(0, 0.5, 2)
-            out = idealized_rate(float(dx), float(dz))
-            assert out.smoothed <= out.split + 1e-12
+            smoothed = smoothed_rate(0.5 * float(dx + dz))
+            assert smoothed <= max(split_rate(float(dx), float(dz)), 0.0) + 1e-12
 
 
 class TestChains:
@@ -218,6 +200,6 @@ class TestChains:
         params = SystemParams(eta_d=0.145, y0=6e-6, distance_km=40.0, e_d=0.015)
         rate, cfg = optimize_intensities(
             params, np.linspace(0.2, 0.8, 7), np.linspace(0.02, 0.12, 6))
-        base = wm_decoy_chain(params, DECOY).rate
+        base = wm_decoy_chain(params, DECOY, 0.0).rate
         assert cfg is not None
         assert rate >= base - 1e-15
