@@ -46,6 +46,10 @@ class EstimationError(RuntimeError):
 # signal log
 # ---------------------------------------------------------------------------
 
+_COLUMN_DTYPES = {"s_a": np.uint8, "b": np.uint8, "h": np.uint8, "omega": float,
+                  "s_b": np.int8, "intensity": np.uint8}
+
+
 @dataclass
 class SignalLog:
     """Per-signal protocol records as parallel arrays.
@@ -63,15 +67,9 @@ class SignalLog:
     intensity: np.ndarray
 
     def __post_init__(self):
-        self.s_a = np.asarray(self.s_a, dtype=np.uint8)
-        self.b = np.asarray(self.b, dtype=np.uint8)
-        self.h = np.asarray(self.h, dtype=np.uint8)
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.s_b = np.asarray(self.s_b, dtype=np.int8)
-        self.intensity = np.asarray(self.intensity, dtype=np.uint8)
-        n = len(self.s_a)
-        for name in ("b", "h", "omega", "s_b", "intensity"):
-            if len(getattr(self, name)) != n:
+        for name, dtype in _COLUMN_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            if len(getattr(self, name)) != len(self.s_a):
                 raise ValueError(f"signal log column {name!r} length mismatch")
 
     def __len__(self) -> int:
@@ -81,25 +79,13 @@ class SignalLog:
     def clicked(self) -> np.ndarray:
         return self.s_b != NO_CLICK
 
-    def without_no_clicks(self) -> "SignalLog":
-        """Drop the no-click indices from every column together."""
-        return self.subset(self.clicked)
-
-    def measured_gains(self) -> dict:
-        """Click fraction per intensity class, from the full (unsifted) log."""
-        out = {}
-        for code, name in INTENSITY_NAMES.items():
-            sent = self.intensity == code
-            n_sent = int(sent.sum())
-            out[name] = float((self.clicked & sent).sum() / n_sent) if n_sent else 0.0
-        return out
-
     def subset(self, mask) -> "SignalLog":
         return SignalLog(self.s_a[mask], self.b[mask], self.h[mask],
                          self.omega[mask], self.s_b[mask], self.intensity[mask])
 
 
 SIGNAL_LOG_HEADER = "s_A,b,h,omega,s_B,intensity_class"
+_LOG_FIELDS = SIGNAL_LOG_HEADER.split(",")
 _LOG_RECORD = "%d,%d,%d,%.17g,%d,%d\n"
 _LOG_FLAG_VALUES = {"s_A": (0, 1), "b": (0, 1), "h": (0, 1), "s_B": (NO_CLICK, 0, 1),
                     "intensity_class": tuple(INTENSITY_NAMES)}
@@ -110,7 +96,7 @@ _READ_ROWS = 1 << 16
 
 def write_signal_log(path, log: SignalLog) -> None:
     """Write the interchange file: header + one decimal-text record per signal."""
-    columns = (log.s_a, log.b, log.h, log.omega, log.s_b, log.intensity)
+    columns = [getattr(log, name) for name in _COLUMN_DTYPES]
     with open(path, "w", newline="\n") as fh:
         fh.write(SIGNAL_LOG_HEADER + "\n")
         for lo in range(0, len(log), _WRITE_CHUNK):
@@ -139,10 +125,32 @@ def _count_records(path, fh) -> int:
     return newlines - (tail == "\n")  # the header ends in a newline; the last record may not
 
 
+def _field_count_error(path) -> EstimationError | None:
+    """The first record without one field per column; a slow pass for the error path only."""
+    with open(path) as fh:
+        for line, text in enumerate(fh, 1):
+            fields = text.count(",") + 1
+            if line > 1 and fields != len(_LOG_FIELDS):
+                return EstimationError(f"{path} line {line}: {fields} fields, expected {len(_LOG_FIELDS)}")
+    return None
+
+
+def _reject_bad_values(path, first_row: int, block: np.ndarray) -> None:
+    """Raise for the first flag out of range or non-finite reading in a parsed block."""
+    bad = np.column_stack([~np.isfinite(values) if name == "omega" else ~np.isin(values, _LOG_FLAG_VALUES[name])
+                           for name, values in zip(_LOG_FIELDS, block.T)])
+    if bad.any():
+        row, field = divmod(int(np.argmax(bad)), len(_LOG_FIELDS))
+        name = _LOG_FIELDS[field]
+        wanted = "a finite reading" if name == "omega" else f"one of {_LOG_FLAG_VALUES[name]}"
+        raise EstimationError(f"{path} line {first_row + row + 2}: {name} = {block[row, field]:g} is not {wanted}")
+
+
 def read_signal_log(path) -> SignalLog:
-    """Read an interchange file, rejecting blank and comment lines, flags out of
-    range and non-finite readings.  Records are parsed a block at a time into one
-    array of the counted size, so the parse holds no growing copy."""
+    """Read an interchange file, rejecting blank and comment lines, records
+    without six fields, flags out of range and non-finite readings; an error
+    names the first bad line.  Records are parsed a block at a time straight
+    into the log's typed columns, so the parse holds one float64 block beside them."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SIGNAL_LOG_HEADER:
@@ -153,18 +161,18 @@ def read_signal_log(path) -> SignalLog:
             raise EstimationError("empty signal log")
         fh.seek(0)
         fh.readline()
-        data = np.empty((records, len(SIGNAL_LOG_HEADER.split(","))))
+        columns = {name: np.empty(records, dtype) for name, dtype in _COLUMN_DTYPES.items()}
         for lo in range(0, records, _READ_ROWS):
-            data[lo:lo + _READ_ROWS] = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_ROWS)
-    for name, column in zip(SIGNAL_LOG_HEADER.split(","), data.T):
-        if name == "omega":
-            bad, wanted = ~np.isfinite(column), "a finite reading"
-        else:
-            bad, wanted = ~np.isin(column, _LOG_FLAG_VALUES[name]), f"one of {_LOG_FLAG_VALUES[name]}"
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise EstimationError(f"{path} line {row + 2}: {name} = {column[row]:g} is not {wanted}")
-    return SignalLog(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5])
+            try:
+                block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_ROWS)
+            except ValueError as exc:  # a record's field count differs from the first's
+                raise _field_count_error(path) or exc
+            if block.shape[1] != len(_LOG_FIELDS):
+                raise _field_count_error(path)
+            _reject_bad_values(path, lo, block)
+            for column, values in zip(columns.values(), block.T):
+                column[lo:lo + len(block)] = values
+    return SignalLog(**columns)
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +201,26 @@ class ConditionedStats:
         return np.where(np.isinf(self.count), 0.0, se)
 
 
-def condition_and_average(log: SignalLog, intensity: int | None = INTENSITY_SIGNAL) -> ConditionedStats:
-    """Exact sample moments of the readings for all 8 (bit, basis, observable) cells.
+def condition_and_average(log: SignalLog) -> list[ConditionedStats | None]:
+    """Exact sample moments of the readings in the 8 (bit, basis, observable)
+    cells of every intensity class, in one pass over the clicked records.
 
-    Expects a log already sifted of no-clicks.  An empty cell cannot be
-    estimated and raises EstimationError.
+    Returns one entry per class code; an entry is None when a cell of its class
+    holds fewer than two readings and so cannot be estimated.  No-click records
+    are skipped.
     """
-    if np.any(log.s_b == NO_CLICK):
-        raise EstimationError("log still contains no-click records; sift first")
-    mask = np.ones(len(log), dtype=bool) if intensity is None else log.intensity == intensity
-    mean = np.zeros((2, 2, 2))
-    var = np.zeros((2, 2, 2))
-    count = np.zeros((2, 2, 2))
-    cell_index = (log.s_a.astype(np.int64) * 4 + log.b * 2 + log.h)[mask]
-    omega = log.omega[mask]
-    counts = np.bincount(cell_index, minlength=8).astype(float)
-    if np.any(counts < 2):
-        lbl = INTENSITY_NAMES.get(intensity, "all")
-        raise EstimationError(f"empty or singleton conditioning cell at intensity {lbl!r}")
-    sums = np.bincount(cell_index, weights=omega, minlength=8)
-    means = sums / counts
-    m2 = np.bincount(cell_index, weights=(omega - means[cell_index]) ** 2, minlength=8)
-    mean[:] = means.reshape(2, 2, 2)
-    var[:] = (m2 / (counts - 1.0)).reshape(2, 2, 2)
-    count[:] = counts.reshape(2, 2, 2)
-    return ConditionedStats(mean, var, count)
+    clicked = log.clicked
+    code = (log.intensity * 8 + log.s_a * 4 + log.b * 2 + log.h)[clicked]  # uint8: at most 23
+    omega = log.omega[clicked]
+    counts = np.bincount(code, minlength=24).astype(float)
+    sums = np.bincount(code, weights=omega, minlength=24)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a class may have empty cells
+        means = sums / counts
+        m2 = np.bincount(code, weights=(omega - means[code]) ** 2, minlength=24)
+        var = m2 / (counts - 1.0)
+    cells = (3, 2, 2, 2)  # class, bit, basis, observable
+    return [None if np.any(n < 2) else ConditionedStats(m, v, n)
+            for m, v, n in zip(means.reshape(cells), var.reshape(cells), counts.reshape(cells))]
 
 
 def merge_moments(a: ConditionedStats, b: ConditionedStats) -> ConditionedStats:
@@ -578,24 +581,24 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
 
 
 def build_report(log: SignalLog, thresholds: EstimationThresholds,
-                 gains: dict | None = None) -> EstimationReport:
+                 sent: np.ndarray | None = None) -> EstimationReport:
     """Run the full estimation subroutine on a signal log.
 
-    The log may still contain no-click records (they are used for the measured
-    gains, then removed).  `gains` overrides the measured click fractions when
-    the caller knows them more precisely.
+    The gain of a class is its clicked records over `sent[class]`, the signals
+    sent in it; `sent` defaults to the log's own per-class record counts, which
+    is right for a log that keeps its no-click records.  The signal class's
+    cells must all be estimable; thin decoy cells leave the decoy error to the
+    signal estimates.
     """
-    if gains is None:
-        gains = log.measured_gains()
-    sifted = log.without_no_clicks() if np.any(log.s_b == NO_CLICK) else log
-    stats = condition_and_average(sifted, INTENSITY_SIGNAL)
-    stats_nu = None
-    if np.any(sifted.intensity == INTENSITY_DECOY):
-        try:
-            stats_nu = condition_and_average(sifted, INTENSITY_DECOY)
-        except EstimationError:
-            pass  # starved decoy cells: the decoy-rate chain falls back to signal estimates
-    return report_from_stats(stats, thresholds, gains, stats_decoy=stats_nu)
+    clicks = np.bincount(log.intensity[log.clicked], minlength=3)
+    if sent is None:
+        sent = np.bincount(log.intensity, minlength=3)
+    gains = {name: int(clicks[code]) / int(sent[code]) if sent[code] else 0.0
+             for code, name in INTENSITY_NAMES.items()}
+    stats = condition_and_average(log)
+    if stats[INTENSITY_SIGNAL] is None:
+        raise EstimationError("empty or singleton conditioning cell at intensity 'signal'")
+    return report_from_stats(stats[INTENSITY_SIGNAL], thresholds, gains, stats_decoy=stats[INTENSITY_DECOY])
 
 
 def report_from_stats(stats: ConditionedStats, thresholds: EstimationThresholds,

@@ -30,7 +30,6 @@ import numpy as np
 from . import adversary as adv
 from .bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis
 from .estimation import (
-    INTENSITY_NAMES,
     INTENSITY_SIGNAL,
     NO_CLICK,
     EstimationReport,
@@ -189,8 +188,8 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     """Execute the protocol once; deterministic in cfg.master_seed.
 
     Every stage runs on one BLOCK_SIZE block at a time.  Only the per-class
-    sent and click counts, the sifted-key tallies and the clicked records
-    outlive a block (every record with keep_log).
+    sent counts, the sifted-key tallies and the clicked records outlive a
+    block (every record with keep_log); the estimation counts the clicks.
     """
     timings = dict.fromkeys(STAGES, 0.0)
     tick = time.perf_counter()
@@ -210,7 +209,6 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     # analytically by the decoy bounds
     p_photon_by_class = -np.expm1(-cfg.system.eta * np.array([cfg.decoy.mu, cfg.decoy.nu, 0.0]))
     sent = np.zeros(3, dtype=np.int64)
-    clicks = np.zeros(3, dtype=np.int64)
     key_len = errors = eve_agreements = 0
     records = []
     for block, size in _block_plan(cfg.n_signals):
@@ -253,10 +251,8 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         s_b = np.where(clicked, s_b, np.int8(NO_CLICK))
         lap("measurement")
 
-        clicked_at = np.flatnonzero(clicked)
         sent += np.bincount(intensity, minlength=3)
-        clicks += np.bincount(intensity[clicked_at], minlength=3)
-        kept = slice(None) if keep_log else clicked_at
+        kept = slice(None) if keep_log else np.flatnonzero(clicked)
         records.append([column[kept] for column in (s_a, b, h, omega, s_b, intensity)])
         lap("estimation")
 
@@ -270,9 +266,7 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
 
     log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
     del records  # the log holds copies
-    gains = {name: int(clicks[code]) / int(sent[code]) if sent[code] else 0.0
-             for code, name in INTENSITY_NAMES.items()}
-    report = build_report(log, thresholds, gains=gains)
+    report = build_report(log, thresholds, sent=sent)
     lap("estimation")
 
     gt_error = errors / key_len if key_len else 0.0

@@ -158,13 +158,13 @@ def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float) -> D
     """Weak-measurement chain on the honest gains, every error debited by delta_wm.
 
     The measurement back-action enters every intensity's error budget (the
-    QBER definition includes it): e_d + delta_wm, dark-count corrected per
-    intensity, is the error of both the signal and the decoy pulses.
+    QBER definition includes it): e_d + delta_wm, capped at 1/2 and dark-count
+    corrected per intensity, is the error of both the signal and the decoy pulses.
     """
     q_mu, q_nu, q_vac = honest_gains(params, cfg)
     d_mu = dark_count_fraction(q_mu, min(q_vac, q_mu))
     d_nu = dark_count_fraction(q_nu, min(q_vac, q_nu))
-    error = params.e_d + delta_wm
+    error = min(params.e_d + delta_wm, 0.5)
     return decoy_chain(q_mu, q_nu, q_vac, corrected_error_rate(error, d_mu),
                        corrected_error_rate(error, d_nu), params, cfg)
 

@@ -28,6 +28,7 @@ from wmqkd.bloch import (
     true_error_rates,
 )
 from wmqkd.estimation import (
+    INTENSITY_SIGNAL,
     SignalLog,
     build_report,
     condition_and_average,
@@ -139,7 +140,7 @@ def test_criterion_3_estimation_round_trip():
             rotation_theta=float(rng.uniform(-0.5, 0.5)),
         )
         log = channel_estimation_log(chan, pointer, 1_000_000, 1000 + trial)
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         gp, gm = estimate_couplings(stats)
         rates = estimate_error_rates(stats, gp, gm)
         se_x, se_z, _ = delta_standard_errors(stats)

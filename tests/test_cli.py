@@ -208,6 +208,15 @@ class TestSweepCommand:
         assert "has no effect" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_intrinsic_error_up_to_half(self, tmp_path):
+        cfg = write(tmp_path, "run.ini", QUICK)
+        code = main(["--config", cfg, "--out", str(tmp_path), "sweep",
+                     "--axis", "system.e_d", "--values", "0.25,0.5"])
+        assert code == EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        header, last = lines[0].split(","), lines[-1].split(",")
+        assert len(lines) == 3 and last[header.index("rate_wm_decoy")] == "0"
+
     def test_empty_values(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)
         code = main(["--config", cfg, "--out", str(tmp_path), "sweep",
@@ -270,6 +279,12 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         header_name = {"s_a": "s_A", "h": "h", "omega": "omega"}[column]
         assert f"line {row + 2}: {header_name} = " in capsys.readouterr().err
+
+    def test_short_record_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("s_A,b,h,omega,s_B,intensity_class\n0,0,0,0.1,0\n1,0,0,0.1,0\n")
+        assert main(["--out", str(tmp_path), "verify", str(path)]) == EXIT_USAGE
+        assert "line 2: 5 fields, expected 6" in capsys.readouterr().err
 
     def test_missing_log_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "verify", str(tmp_path / "no.csv")]) == EXIT_USAGE

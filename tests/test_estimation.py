@@ -11,6 +11,9 @@ from wmqkd.estimation import (
     ConditionedStats,
     EstimationError,
     EstimationThresholds,
+    INTENSITY_DECOY,
+    INTENSITY_SIGNAL,
+    INTENSITY_VACUUM,
     SIGNAL_LOG_HEADER,
     SignalLog,
     build_report,
@@ -57,7 +60,7 @@ def exact_channel_stats(channel, g=G, sigma=1.0):
 class TestConditioning:
     def test_constant_readings(self):
         log = make_log(omega=np.full(4096, 0.5))
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         assert np.all(stats.mean == 0.5)
         assert np.all(stats.var == 0.0)
         assert stats.count.sum() == 4096
@@ -68,36 +71,64 @@ class TestConditioning:
         log = SignalLog(np.zeros(n), np.zeros(n), np.zeros(n),
                         np.arange(n) % 2, np.zeros(n), np.zeros(n))
         with pytest.raises(EstimationError):
-            condition_and_average(log)  # 7 empty cells: abort-grade
+            build_report(log, EstimationThresholds.for_device(G, 1.0))  # 7 empty cells: abort-grade
         # pack the same readings into every cell instead
         rng = np.random.default_rng(1)
         s_a = rng.integers(0, 2, n).astype(np.uint8)
         b = rng.integers(0, 2, n).astype(np.uint8)
         h = rng.integers(0, 2, n).astype(np.uint8)
         log = SignalLog(s_a, b, h, np.arange(n) % 2, np.zeros(n), np.zeros(n))
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         assert stats.mean == pytest.approx(np.full((2, 2, 2), 0.5), abs=0.05)
         assert stats.var == pytest.approx(np.full((2, 2, 2), 0.25), abs=0.01)
 
     def test_monte_carlo_cell_mean(self):
         # noiseless channel: the (bit 0, Z, H+) cell mean tends to g <H+>
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 400_000, 42)
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         n_cell = stats.count[0, 0, 0]
         se = math.sqrt(stats.var[0, 0, 0] / n_cell)
         assert stats.mean[0, 0, 0] == pytest.approx(G * EXPECT_PLUS_0, abs=4 * se)
 
-    def test_requires_sifted_log(self):
+    def test_no_click_records_are_skipped(self):
         log = make_log()
-        log.s_b[10] = -1
-        with pytest.raises(EstimationError, match="no-click"):
-            condition_and_average(log)
+        log.s_b[::5] = -1
+        got = condition_and_average(log)[INTENSITY_SIGNAL]
+        want = condition_and_average(log.subset(log.clicked))[INTENSITY_SIGNAL]
+        for name in ("mean", "var", "count"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_one_pass_matches_per_class_reference(self):
+        # the masked two-pass moments of one class at a time, as a reference
+        def reference(log, intensity):
+            keep = log.clicked & (log.intensity == intensity)
+            cell = (log.s_a.astype(np.int64) * 4 + log.b * 2 + log.h)[keep]
+            omega = log.omega[keep]
+            count = np.bincount(cell, minlength=8).astype(float)
+            mean = np.bincount(cell, weights=omega, minlength=8) / count
+            m2 = np.bincount(cell, weights=(omega - mean[cell]) ** 2, minlength=8)
+            return mean.reshape(2, 2, 2), (m2 / (count - 1.0)).reshape(2, 2, 2), count.reshape(2, 2, 2)
+
+        rng = np.random.default_rng(90)  # make_log(seed=9) draws its own stream
+        n = 20_000
+        intensity = rng.integers(0, 2, n).astype(np.uint8)
+        intensity[:3] = INTENSITY_VACUUM
+        log = make_log(n=n, seed=9, intensity=intensity)
+        log.s_b[rng.random(n) < 0.3] = -1
+        stats = condition_and_average(log)
+        assert len(stats) == 3
+        for code in (INTENSITY_SIGNAL, INTENSITY_DECOY):
+            got = stats[code]
+            for name, want in zip(("mean", "var", "count"), reference(log, code)):
+                assert getattr(got, name).tobytes() == want.tobytes(), (code, name)
+        # three vacuum records fill at most three of its eight cells
+        assert stats[INTENSITY_VACUUM] is None
 
     def test_permutation_invariance(self):
         log = make_log(seed=3)
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         perm = np.random.default_rng(4).permutation(len(log))
-        stats_p = condition_and_average(log.subset(perm))
+        stats_p = condition_and_average(log.subset(perm))[INTENSITY_SIGNAL]
         assert stats_p.mean == pytest.approx(stats.mean, abs=1e-12)
         assert stats_p.var == pytest.approx(stats.var, abs=1e-12)
         assert np.all(stats_p.count == stats.count)
@@ -107,14 +138,14 @@ class TestConditioning:
         bounds = np.linspace(0, len(log), 8).astype(int)
 
         def fold():
-            pieces = [condition_and_average(log.subset(slice(lo, hi)))
+            pieces = [condition_and_average(log.subset(slice(lo, hi)))[INTENSITY_SIGNAL]
                       for lo, hi in zip(bounds[:-1], bounds[1:])]
             return functools.reduce(merge_moments, pieces)
 
         a = fold()
         b = fold()
         assert np.all(a.mean == b.mean) and np.all(a.var == b.var)
-        whole = condition_and_average(log)
+        whole = condition_and_average(log)[INTENSITY_SIGNAL]
         assert a.mean == pytest.approx(whole.mean, abs=1e-12)
         assert a.var == pytest.approx(whole.var, rel=1e-10)
 
@@ -124,7 +155,7 @@ class TestConditioning:
         halves = []
         for sl in (slice(0, 60), slice(60, 100)):
             part = x[..., sl]
-            halves.append(type(condition_and_average(make_log()))(
+            halves.append(ConditionedStats(
                 part.mean(axis=-1), part.var(axis=-1, ddof=1),
                 np.full((2, 2, 2), float(part.shape[-1]))))
         merged = merge_moments(halves[0], halves[1])
@@ -153,7 +184,7 @@ class TestCouplings:
 
     def test_monte_carlo_recovery(self):
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 400_000, 7)
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         gp, gm = estimate_couplings(stats)
         se_p, se_m = coupling_standard_errors(stats)
         assert gp == pytest.approx(G, abs=3 * se_p)
@@ -364,7 +395,7 @@ class TestStandardErrors:
         def mean_se(n, seeds):
             return np.mean([
                 delta_standard_errors(condition_and_average(
-                    channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), n, s)))[0]
+                    channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), n, s))[INTENSITY_SIGNAL])[0]
                 for s in seeds])
         se_small = mean_se(50_000, (21, 22, 23))
         se_big = mean_se(200_000, (24, 25, 26))
@@ -374,7 +405,7 @@ class TestStandardErrors:
         # weak-measurement noise floor: se(delta_X) ~ (sigma/g)/sqrt(2 n_cell)
         n = 200_000
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), n, 23)
-        stats = condition_and_average(log)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         se_x, se_z, se_b = delta_standard_errors(stats)
         rough = (1.0 / G) / math.sqrt(2 * n / 8)
         assert se_x == pytest.approx(rough, rel=0.5)
@@ -427,6 +458,33 @@ class TestSignalLogIO:
             monkeypatch.setattr(estimation, "_SCAN_CHUNK", chunk)
             with pytest.raises(EstimationError, match=f"line {line}: {what}"):
                 read_signal_log(path)
+
+    def test_first_bad_record_is_named(self, tmp_path):
+        # the s_A column is checked first, but the bad b comes first in the file
+        path = tmp_path / "log.csv"
+        path.write_text(SIGNAL_LOG_HEADER + "\n0,0,0,0.1,0,0\n0,2,0,0.1,0,0\n3,0,0,0.1,0,0\n")
+        with pytest.raises(EstimationError, match="line 3: b = 2 is not one of"):
+            read_signal_log(path)
+
+    def test_read_omega_owns_its_data(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_signal_log(path, make_log(n=300, seed=41))
+        back = read_signal_log(path)
+        for name in ("s_a", "b", "h", "omega", "s_b", "intensity"):
+            column = getattr(back, name)
+            assert column.base is None and column.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("records, line, fields", [
+        (["0,0,0,0.1,0"] * 2, 2, 5),                          # every record short
+        (["0,0,0,0.1,0,0", "0,0,0,0.1,0"], 3, 5),             # one short record
+        (["0,0,0,0.1,0,0", "0,0,0,0.1,0,0,1"], 3, 7),         # one long record
+        (["0,0,0,0.1,0,0"] * ((1 << 16) + 8) + ["0,0,0,0.1,0"], (1 << 16) + 10, 5),  # second parse block
+    ])
+    def test_wrong_field_count_names_the_line(self, tmp_path, records, line, fields):
+        path = tmp_path / "log.csv"
+        path.write_text(SIGNAL_LOG_HEADER + "\n" + "\n".join(records) + "\n")
+        with pytest.raises(EstimationError, match=f"line {line}: {fields} fields, expected 6$"):
+            read_signal_log(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -425,8 +425,8 @@ class TestAnalyticMode:
                              channel=ChannelModel(depolarizing_prob=0.1))
         mean, var = exact_cell_statistics(cfg)
         log = channel_estimation_log(cfg.channel, cfg.pointer, 400_000, 9)
-        from wmqkd.estimation import condition_and_average
-        stats = condition_and_average(log)
+        from wmqkd.estimation import INTENSITY_SIGNAL, condition_and_average
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
         se = np.sqrt(var / stats.count)
         assert np.all(np.abs(stats.mean - mean) < 5 * se)
         assert stats.var == pytest.approx(var, rel=0.05)

@@ -187,6 +187,14 @@ class TestChains:
             for y in np.linspace(1e-6, 5e-4, 9)]
         assert all(a >= b for a, b in zip(rates_y, rates_y[1:]))
 
+    def test_intrinsic_error_at_half_gives_no_key(self):
+        # e_d + delta_wm passes 1/2 at e_d = 1/2: the error is capped, not rejected
+        params = SystemParams(e_d=0.5)
+        chain = wm_decoy_chain(params, DECOY, wm_disturbance_error(0.05, 1.0))
+        assert chain.eps_mu == chain.eps_nu == 0.5
+        assert chain.rate == 0.0
+        assert bb84_decoy_chain(params, DECOY).rate == 0.0
+
     def test_gap_between_protocols_small(self):
         delta_wm = wm_disturbance_error(0.05, 1.0)
         for d in np.arange(0.0, 81.0, 5.0):
