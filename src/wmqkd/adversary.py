@@ -114,29 +114,26 @@ class AttackConfig:
 # intercept-resend
 # ---------------------------------------------------------------------------
 
-def intercept_resend_array(r, basis_flags, p_basis, rng, force_z: bool = False):
+def intercept_resend_array(r_x, r_z, basis_flags, p_basis, rng, force_z: bool = False):
     """Vectorised intercept-resend on post-channel states.
 
-    r: (N, 3) Bloch vectors; basis_flags: (N,) 0=Z / 1=X true bases.  Eve
-    measures Z always when force_z (Strategy 1/3 with believed-Z), otherwise in
-    her guessed basis.  Returns (re-emitted states, guessed_basis_flags,
-    eve_outcome_bits).
+    r_x, r_z: (N,) Bloch components (Eve's strong measurement never reads y);
+    basis_flags: (N,) 0=Z / 1=X true bases.  Eve measures Z always when
+    force_z (Strategy 1/3 with believed-Z), otherwise in her guessed basis.
+    Returns ((x, y, z) of the re-emitted eigenstates, eve_outcome_bits).
     """
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
+    n = len(basis_flags)
     if force_z:
         guess = np.zeros(n, dtype=np.uint8)
     else:
         correct = rng.random(n) < p_basis
         guess = np.where(correct, basis_flags, 1 - basis_flags).astype(np.uint8)
     # projection of the state on the measured axis
-    proj = np.where(guess == 0, r[:, 2], r[:, 0])
+    proj = np.where(guess == 0, r_z, r_x)
     outcome_plus = rng.random(n) < 0.5 * (1.0 + proj)
     bits = np.where(outcome_plus, 0, 1).astype(np.uint8)
     sign = np.where(outcome_plus, 1.0, -1.0)
-    out = np.zeros_like(r)
-    out[np.arange(n), 2 - 2 * guess] = sign  # column 2 (z) for a Z guess, 0 (x) for X
-    return out, guess, bits
+    return (np.where(guess == 1, sign, 0.0), np.zeros(n), np.where(guess == 0, sign, 0.0)), bits
 
 
 def intercept_resend_mean_state(r_x, r_z, basis_flags, p_basis: float):

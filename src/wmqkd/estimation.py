@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 from scipy import stats as sps
@@ -48,6 +48,8 @@ class EstimationError(RuntimeError):
 
 _COLUMN_DTYPES = {"s_a": np.uint8, "b": np.uint8, "h": np.uint8, "omega": float,
                   "s_b": np.int8, "intensity": np.uint8}
+_FLAG_VALUES = {"s_a": (0, 1), "b": (0, 1), "h": (0, 1), "s_b": (NO_CLICK, 0, 1),
+                "intensity": tuple(INTENSITY_NAMES)}
 
 
 @dataclass
@@ -56,7 +58,8 @@ class SignalLog:
 
     s_a: Alice's bit; b: basis flag (0=Z, 1=X); h: Bob's observable flag
     (0=H+, 1=H-); omega: pointer reading; s_b: detection outcome (0/1, or
-    NO_CLICK=-1); intensity: 0=signal mu, 1=decoy nu, 2=vacuum.
+    NO_CLICK=-1); intensity: 0=signal mu, 1=decoy nu, 2=vacuum.  A flag
+    outside its range of integers after the dtype cast raises ValueError.
     """
 
     s_a: np.ndarray
@@ -69,8 +72,11 @@ class SignalLog:
     def __post_init__(self):
         for name, dtype in _COLUMN_DTYPES.items():
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-            if len(getattr(self, name)) != len(self.s_a):
+            column, flags = getattr(self, name), _FLAG_VALUES.get(name)
+            if len(column) != len(self.s_a):
                 raise ValueError(f"signal log column {name!r} length mismatch")
+            if flags and len(column) and not flags[0] <= column.min() <= column.max() <= flags[-1]:
+                raise ValueError(f"signal log column {name!r} holds a flag outside {flags}")
 
     def __len__(self) -> int:
         return len(self.s_a)
@@ -87,8 +93,6 @@ class SignalLog:
 SIGNAL_LOG_HEADER = "s_A,b,h,omega,s_B,intensity_class"
 _LOG_FIELDS = SIGNAL_LOG_HEADER.split(",")
 _LOG_RECORD = "%d,%d,%d,%.17g,%d,%d\n"
-_LOG_FLAG_VALUES = {"s_A": (0, 1), "b": (0, 1), "h": (0, 1), "s_B": (NO_CLICK, 0, 1),
-                    "intensity_class": tuple(INTENSITY_NAMES)}
 _WRITE_CHUNK = 1 << 16
 _SCAN_CHUNK = 1 << 16  # characters
 _READ_ROWS = 1 << 16
@@ -125,31 +129,37 @@ def _count_records(path, fh) -> int:
     return newlines - (tail == "\n")  # the header ends in a newline; the last record may not
 
 
-def _field_count_error(path) -> EstimationError | None:
-    """The first record without one field per column; a slow pass for the error path only."""
+def _bad_record_error(path) -> EstimationError | None:
+    """The first record without one number per column, at its file line; a slow pass for errors only."""
     with open(path) as fh:
-        for line, text in enumerate(fh, 1):
-            fields = text.count(",") + 1
-            if line > 1 and fields != len(_LOG_FIELDS):
-                return EstimationError(f"{path} line {line}: {fields} fields, expected {len(_LOG_FIELDS)}")
+        for line, text in enumerate(islice(fh, 1, None), 2):
+            fields = text.split(",")
+            if len(fields) != len(_LOG_FIELDS):
+                return EstimationError(f"{path} line {line}: {len(fields)} fields, expected {len(_LOG_FIELDS)}")
+            for name, field in zip(_LOG_FIELDS, fields):
+                try:
+                    float(field)
+                except ValueError:
+                    return EstimationError(f"{path} line {line}: {name} = {field.strip()!r} is not a number")
     return None
 
 
 def _reject_bad_values(path, first_row: int, block: np.ndarray) -> None:
     """Raise for the first flag out of range or non-finite reading in a parsed block."""
-    bad = np.column_stack([~np.isfinite(values) if name == "omega" else ~np.isin(values, _LOG_FLAG_VALUES[name])
-                           for name, values in zip(_LOG_FIELDS, block.T)])
+    flags = [_FLAG_VALUES.get(name) for name in _COLUMN_DTYPES]  # None for omega
+    bad = np.column_stack([~np.isfinite(values) if wanted is None else ~np.isin(values, wanted)
+                           for wanted, values in zip(flags, block.T)])
     if bad.any():
         row, field = divmod(int(np.argmax(bad)), len(_LOG_FIELDS))
-        name = _LOG_FIELDS[field]
-        wanted = "a finite reading" if name == "omega" else f"one of {_LOG_FLAG_VALUES[name]}"
-        raise EstimationError(f"{path} line {first_row + row + 2}: {name} = {block[row, field]:g} is not {wanted}")
+        wanted = "a finite reading" if flags[field] is None else f"one of {flags[field]}"
+        raise EstimationError(f"{path} line {first_row + row + 2}: {_LOG_FIELDS[field]} = "
+                              f"{block[row, field]:g} is not {wanted}")
 
 
 def read_signal_log(path) -> SignalLog:
     """Read an interchange file, rejecting blank and comment lines, records
-    without six fields, flags out of range and non-finite readings; an error
-    names the first bad line.  Records are parsed a block at a time straight
+    without six numeric fields, flags out of range and non-finite readings; an
+    error names the first bad line.  Records are parsed a block at a time straight
     into the log's typed columns, so the parse holds one float64 block beside them."""
     with open(path) as fh:
         header = fh.readline().strip()
@@ -165,10 +175,10 @@ def read_signal_log(path) -> SignalLog:
         for lo in range(0, records, _READ_ROWS):
             try:
                 block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_ROWS)
-            except ValueError as exc:  # a record's field count differs from the first's
-                raise _field_count_error(path) or exc
+            except ValueError as exc:  # a field count differs from the first's, or a field is no number
+                raise _bad_record_error(path) or exc
             if block.shape[1] != len(_LOG_FIELDS):
-                raise _field_count_error(path)
+                raise _bad_record_error(path)
             _reject_bad_values(path, lo, block)
             for column, values in zip(columns.values(), block.T):
                 column[lo:lo + len(block)] = values
@@ -194,11 +204,6 @@ class ConditionedStats:
     @property
     def exact(self) -> bool:
         return bool(np.all(np.isinf(self.count)))
-
-    def mean_se(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            se = np.sqrt(self.var / self.count)
-        return np.where(np.isinf(self.count), 0.0, se)
 
 
 def condition_and_average(log: SignalLog) -> list[ConditionedStats | None]:

@@ -159,18 +159,18 @@ def _block_intensities(master_seed: int, block: int, size: int, probs) -> np.nda
     return np.add(u >= edges[0], u >= edges[1], dtype=np.uint8)
 
 
-def _bob_block(master_seed: int, block: int, r: np.ndarray, h: np.ndarray,
+def _bob_block(master_seed: int, block: int, r, h: np.ndarray,
                bias: np.ndarray, pointer: PointerConfig):
     """Weak measurement of H(h) rotated by `bias` on every signal of a block, then a strong Z.
 
-    r holds the (size, 3) Bloch vectors.  Returns the pointer readings and
-    Bob's strong-measurement bits.
+    r holds the Bloch components (x, y, z) of the block's states.  Returns the
+    pointer readings and Bob's strong-measurement bits, drawn on the posterior's z.
     """
     sign = np.where(h == 0, 1.0, -1.0)
-    omega, posterior = measure_array(r, sign, math.pi / 4 + bias, pointer,
-                                     stage_block_generator(master_seed, "bob_wm", block))
+    omega, (_, _, post_z) = measure_array(*r, sign, math.pi / 4 + bias, pointer,
+                                          stage_block_generator(master_seed, "bob_wm", block))
     u_strong = _block_uniform(master_seed, "bob_strong", block, len(h))
-    return omega, (u_strong < 0.5 * (1.0 - posterior[:, 2])).view(np.int8)
+    return omega, (u_strong < 0.5 * (1.0 - post_z)).view(np.int8)
 
 
 def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, master_seed: int, block: int) -> np.ndarray:
@@ -216,13 +216,13 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         intensity = _block_intensities(seed, block, size, cfg.intensity_probs)
         lap("source")
 
-        r = np.stack(cfg.channel.apply_array(*r), axis=-1)
+        r = cfg.channel.apply_array(*r)
         lap("channel")
 
         eve_bits = None
         if eve_on_channel:
-            r, _, eve_bits = adv.intercept_resend_array(
-                r, b, attack.p_basis, stage_block_generator(seed, "eve_channel", block),
+            r, eve_bits = adv.intercept_resend_array(
+                r[0], r[2], b, attack.p_basis, stage_block_generator(seed, "eve_channel", block),
                 force_z=attack.strategy == "fake_wm_strategy1")
         lap("attack")
 
@@ -316,8 +316,7 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     for block, size in _block_plan(n):
         s_a, b, r = _alice_block(master_seed, block, size)
         h = _block_bits(master_seed, "bob_observable", block, size)
-        r = np.stack(channel.apply_array(*r), axis=-1)
-        omega, s_b = _bob_block(master_seed, block, r, h, np.zeros(size), pointer)
+        omega, s_b = _bob_block(master_seed, block, channel.apply_array(*r), h, np.zeros(size), pointer)
         columns.append((s_a, b, h, omega, s_b))
     s_a, b, h, omega, s_b = (np.concatenate(column) for column in zip(*columns))
     return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))

@@ -14,10 +14,10 @@ Bloch component along the projector axis is filtered, the perpendicular part
 is scaled by the branch overlap.  Averaged over readings this reproduces the
 dephasing map with factor e^{-g^2/8 sigma^2}.
 
-States are Bloch-vector arrays, one row per signal, and observables are given
-by their family sign and total axis angle (``wmqkd.bloch.projector_axis``):
-``measure_array`` samples readings and posteriors for a batch, and
-``dephased_state`` is the reading-averaged map.
+States are Bloch components (x, y, z), one array each, as ``wmqkd.bloch``
+holds them, and observables are given by their family sign and total axis
+angle (``wmqkd.bloch.projector_axis``): ``measure_array`` samples readings and
+posteriors for a batch, and ``dephased_state`` is the reading-averaged map.
 
 Variance conventions: simulated readings carry Var[omega] = sigma_md^2 plus
 the binomial branch term g^2 <P>(1-<P>).  Some closed-form device checks are
@@ -112,14 +112,13 @@ def sample_readings(p_expectations, g, sigma, rng):
     return rng.normal(0.0, sigma, p.shape) + np.where(shifted, g, 0.0)
 
 
-def measure_array(r, sign, angle, cfg: PointerConfig, rng):
-    """Weak-measure a batch of states; returns (omega, posterior_bloch).
+def measure_array(r_x, r_y, r_z, sign, angle, cfg: PointerConfig, rng):
+    """Weak-measure a batch of states; returns (omega, (x, y, z) of the posteriors).
 
-    r: (N, 3) Bloch vectors; sign: (N,) +-1 family tags; angle: (N,) total
-    axis angles (already including any adversarial bias).  Device bias_phi is
-    added here, and sigma_phi angle noise is drawn fresh per signal.
+    r_x, r_y, r_z: (N,) Bloch components; sign: (N,) +-1 family tags; angle:
+    (N,) total axis angles (already including any adversarial bias).  Device
+    bias_phi is added here, and sigma_phi angle noise is drawn fresh per signal.
     """
-    r_x, r_y, r_z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
     sign = np.asarray(sign, dtype=float)
     angle = np.asarray(angle, dtype=float) + cfg.bias_phi
     if cfg.sigma_phi > 0:
@@ -140,23 +139,21 @@ def measure_array(r, sign, angle, cfg: PointerConfig, rng):
     out_n = (weight_b - weight_a) / (2.0 * norm)
     # the axis component is filtered, the perpendicular part (all of y) scaled by the overlap
     overlap = ab / norm
-    posterior = (out_n * axis_x + overlap * (r_x - rn * axis_x),
-                 overlap * r_y,
-                 out_n * axis_z + overlap * (r_z - rn * axis_z))
-    return omega, np.stack(posterior, axis=-1)
+    return omega, (out_n * axis_x + overlap * (r_x - rn * axis_x),
+                   overlap * r_y,
+                   out_n * axis_z + overlap * (r_z - rn * axis_z))
 
 
-def dephased_state(r, sign, angle, cfg: PointerConfig) -> np.ndarray:
-    """Pointer-averaged post-measurement states of H(sign) at total axis angles `angle`.
+def dephased_state(r_x, r_y, r_z, sign, angle, cfg: PointerConfig):
+    """Pointer-averaged post-measurement (x, y, z) of H(sign) at total axis angles `angle`.
 
-    r holds (..., 3) Bloch vectors.  The component along the projector axis is
-    preserved; the perpendicular part (all of y) shrinks by e^{-g^2/8 sigma^2}.
-    Unlike `measure_array`, no device bias_phi or angle noise is added.
+    The component along the projector axis is preserved; the perpendicular
+    part (all of y) shrinks by e^{-g^2/8 sigma^2}.  Unlike `measure_array`, no
+    device bias_phi or angle noise is added.
     """
     f = dephasing_factor(cfg.g, cfg.sigma_md)
-    r_x, r_y, r_z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
     axis_x, axis_z = projector_axis(sign, angle)
     rn = r_x * axis_x + r_z * axis_z
-    return np.stack((rn * axis_x + f * (r_x - rn * axis_x),
-                     f * r_y,
-                     rn * axis_z + f * (r_z - rn * axis_z)), axis=-1)
+    return (rn * axis_x + f * (r_x - rn * axis_x),
+            f * r_y,
+            rn * axis_z + f * (r_z - rn * axis_z))

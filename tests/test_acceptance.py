@@ -74,7 +74,8 @@ def test_criterion_1_disturbance_bound():
         pick = rng.integers(0, 4, chunk)
         r = states[pick]
         sign = np.where(rng.random(chunk) < 0.5, 1.0, -1.0)
-        _, post = measure_array(r, sign, np.full(chunk, math.pi / 4), cfg, rng)
+        _, post = measure_array(*r.T, sign, np.full(chunk, math.pi / 4), cfg, rng)
+        post = np.stack(post, axis=-1)
         overlap = 0.5 * (1.0 + np.einsum("ij,ij->i", post, r))
         flips += int((rng.random(chunk) > overlap).sum())
     rate = flips / total

@@ -21,16 +21,23 @@ from wmqkd.pointer import PointerConfig, measure_array
 
 
 def z0_states(n):
+    """Bloch components (x, y, z) of n copies of |0>."""
     flags = np.zeros(n, dtype=np.uint8)
-    return np.stack(bb84_bloch(flags, flags), axis=-1)
+    return bb84_bloch(flags, flags)
+
+
+def intercept_rows(r, basis, p_basis, rng):
+    """intercept_resend_array on components; returns the re-emitted states as (N, 3) rows."""
+    out, _ = intercept_resend_array(r[0], r[2], basis, p_basis, rng)
+    return np.stack(out, axis=-1)
 
 
 def measure_pair(r, first_sign, cfg, rng):
     """Weak-measure H(first_sign) then the other family on the posterior; returns both readings."""
-    n = len(r)
+    n = len(r[0])
     quarter = np.full(n, math.pi / 4)  # H- is sign -1 at the same angle
-    first, posterior = measure_array(r, np.full(n, first_sign), quarter, cfg, rng)
-    second, _ = measure_array(posterior, np.full(n, -first_sign), quarter, cfg, rng)
+    first, posterior = measure_array(*r, np.full(n, first_sign), quarter, cfg, rng)
+    second, _ = measure_array(*posterior, np.full(n, -first_sign), quarter, cfg, rng)
     return first, second
 
 
@@ -66,7 +73,7 @@ class TestInterceptResend:
     def test_perfect_basis_knowledge(self):
         rng = np.random.default_rng(0)
         cfg = AttackConfig(strategy="intercept_resend", p_basis=1.0)
-        out, _, _ = intercept_resend_array(z0_states(50), np.zeros(50, dtype=np.uint8), cfg.p_basis, rng)
+        out = intercept_rows(z0_states(50), np.zeros(50, dtype=np.uint8), cfg.p_basis, rng)
         for row in out:
             assert np.array_equal(row, [0.0, 0.0, 1.0])
 
@@ -74,7 +81,7 @@ class TestInterceptResend:
         rng = np.random.default_rng(1)
         cfg = AttackConfig(strategy="intercept_resend", p_basis=0.5)
         n = 40_000
-        out, _, _ = intercept_resend_array(z0_states(n), np.zeros(n, dtype=np.uint8), cfg.p_basis, rng)
+        out = intercept_rows(z0_states(n), np.zeros(n, dtype=np.uint8), cfg.p_basis, rng)
         # re-emitted ensemble averages to (0, 0, 1/2)
         assert out.mean(axis=0) == pytest.approx([0, 0, 0.5], abs=4 / math.sqrt(n))
 
@@ -85,7 +92,7 @@ class TestInterceptResend:
         n = 200_000
         r = z0_states(n)
         basis = np.zeros(n, dtype=np.uint8)
-        out, _, _ = intercept_resend_array(r, basis, p_basis, rng)
+        out = intercept_rows(r, basis, p_basis, rng)
         flips = rng.random(n) < 0.5 * (1.0 - out[:, 2])
         se = math.sqrt(max(want * (1 - want), 0.25 / n) / n)
         assert flips.mean() == pytest.approx(want, abs=max(3 * se, 2e-3))

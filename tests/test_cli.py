@@ -286,5 +286,11 @@ class TestVerifyCommand:
         assert main(["--out", str(tmp_path), "verify", str(path)]) == EXIT_USAGE
         assert "line 2: 5 fields, expected 6" in capsys.readouterr().err
 
+    def test_non_numeric_field_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("s_A,b,h,omega,s_B,intensity_class\n" + "0,0,0,0.1,0,0\n" * 70_000 + "0,0,0,,0,0\n")
+        assert main(["--out", str(tmp_path), "verify", str(path)]) == EXIT_USAGE
+        assert "line 70002: omega = '' is not a number" in capsys.readouterr().err
+
     def test_missing_log_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "verify", str(tmp_path / "no.csv")]) == EXIT_USAGE

@@ -432,6 +432,26 @@ class TestDarkCorrectionConsistency:
             clean.report.rates.delta_b, abs=max(tol, 5e-3))
 
 
+class TestSignalLogFlags:
+    @pytest.mark.parametrize("column, value", [
+        ("intensity", 32),  # the uint8 cell code 32 * 8 wrapped to a signal cell
+        ("s_a", 2),         # 2 * 4 landed in a decoy cell
+    ])
+    def test_out_of_range_flag_is_rejected(self, column, value):
+        n = 4000
+        flags = np.zeros(n, dtype=np.uint8)
+        flags[:50] = value
+        columns = {name: np.zeros(n) for name in ("s_a", "b", "h", "omega", "s_b", "intensity")}
+        columns[column] = flags
+        with pytest.raises(ValueError, match=f"column '{column}' holds a flag outside"):
+            SignalLog(**columns)
+
+    def test_in_range_flags_are_kept(self):
+        log = SignalLog([0, 1, 1], [1, 0, 1], [0, 1, 0], [0.1, 0.2, 0.3], [-1, 0, 1], [0, 1, 2])
+        assert np.array_equal(log.s_b, [-1, 0, 1]) and np.array_equal(log.intensity, [0, 1, 2])
+        assert len(SignalLog(*([[]] * 6))) == 0
+
+
 class TestSignalLogIO:
     def test_round_trip(self, tmp_path):
         log = make_log(n=500, seed=40)
@@ -484,6 +504,17 @@ class TestSignalLogIO:
         path = tmp_path / "log.csv"
         path.write_text(SIGNAL_LOG_HEADER + "\n" + "\n".join(records) + "\n")
         with pytest.raises(EstimationError, match=f"line {line}: {fields} fields, expected 6$"):
+            read_signal_log(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ("0,0,0,,0,0", "omega = '' is not a number"),
+        ("0,x,0,0.1,0,0", "b = 'x' is not a number"),
+    ])
+    def test_non_numeric_field_names_the_line(self, tmp_path, record, message):
+        # the bad record sits in the second parse block; numpy counted its row within that block
+        path = tmp_path / "log.csv"
+        path.write_text(SIGNAL_LOG_HEADER + "\n" + "0,0,0,0.1,0,0\n" * 70_000 + record + "\n")
+        with pytest.raises(EstimationError, match=f"line 70002: {message}$"):
             read_signal_log(path)
 
     def test_bad_header(self, tmp_path):

@@ -154,8 +154,10 @@ def reference_run(cfg):
     if attack.strategy in ("intercept_resend", "fake_wm_strategy1", "fake_wm_strategy2"):
         out, eve_bits = np.empty_like(r), np.empty(n, dtype=np.uint8)
         for lo, hi, gen in _ref_blocks(seed, "eve_channel", n):
-            out[lo:hi], _, eve_bits[lo:hi] = intercept_resend_array(
-                r[lo:hi], b[lo:hi], attack.p_basis, gen, force_z=attack.strategy == "fake_wm_strategy1")
+            state, eve_bits[lo:hi] = intercept_resend_array(
+                r[lo:hi, 0], r[lo:hi, 2], b[lo:hi], attack.p_basis, gen,
+                force_z=attack.strategy == "fake_wm_strategy1")
+            out[lo:hi] = np.stack(state, axis=-1)
         r = out
     p_photon = -np.expm1(-cfg.system.eta * np.choose(intensity, [cfg.decoy.mu, cfg.decoy.nu, 0.0]))
     u = stage_uniform(seed, "detection", n)

@@ -28,6 +28,17 @@ def bb84(basis, bit):
     return np.array(bb84_bloch(bit, basis))
 
 
+def measure_rows(r, sign, angle, cfg, rng):
+    """measure_array on (N, 3) rows of Bloch vectors; returns (omega, (N, 3) posteriors)."""
+    omega, posterior = measure_array(*np.moveaxis(r, -1, 0), sign, angle, cfg, rng)
+    return omega, np.stack(posterior, axis=-1)
+
+
+def dephased_row(s, sign, angle, cfg):
+    """dephased_state of one (3,) Bloch vector, as a (3,) array."""
+    return np.array(dephased_state(*s, sign, angle, cfg))
+
+
 class TestPointerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,17 +81,17 @@ class TestDephasedState:
     def test_zero_coupling_identity(self):
         s = np.array([0.3, 0.2, 0.5])
         cfg = PointerConfig(g=0.0, sigma_md=1.0)
-        assert np.array_equal(dephased_state(s, 1.0, QUARTER, cfg), s)
+        assert np.array_equal(dephased_row(s, 1.0, QUARTER, cfg), s)
 
     def test_eigenstate_untouched(self):
         s = axis()
         cfg = PointerConfig(g=0.4, sigma_md=1.0)
-        out = dephased_state(s, 1.0, QUARTER, cfg)
+        out = dephased_row(s, 1.0, QUARTER, cfg)
         assert out == pytest.approx(axis(), abs=1e-15)
 
     def test_perpendicular_shrink(self):
         cfg = PointerConfig(g=0.1, sigma_md=1.0)
-        out = dephased_state(bb84(0, 0), 1.0, QUARTER, cfg)
+        out = dephased_row(bb84(0, 0), 1.0, QUARTER, cfg)
         f = dephasing_factor(0.1, 1.0)
         assert f == pytest.approx(0.998750780924581, abs=1e-12)
         n = axis()
@@ -95,7 +106,7 @@ class TestSampling:
         rng = np.random.default_rng(3)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
         n = 4000
-        values, post = measure_array(
+        values, post = measure_rows(
             np.tile(axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
         assert post == pytest.approx(np.tile(axis(), (n, 1)), abs=1e-12)
         # pointer ~ N(g, sigma^2) for the +1 eigenstate
@@ -105,7 +116,7 @@ class TestSampling:
         rng = np.random.default_rng(4)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
         n = 4000
-        values, _ = measure_array(
+        values, _ = measure_rows(
             np.tile(-axis(), (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
         assert np.mean(values) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
 
@@ -115,7 +126,7 @@ class TestSampling:
         cfg = PointerConfig(g=0.4, sigma_md=1.0)
         s = bb84(0, 0)
         n = 200_000
-        omega, _ = measure_array(
+        omega, _ = measure_rows(
             np.tile(s, (n, 1)), np.ones(n), np.full(n, math.pi / 4), cfg, rng)
         p = 0.5 * (1.0 + axis() @ s)
         assert omega.mean() == pytest.approx(0.4 * p, abs=4 / math.sqrt(n))
@@ -129,9 +140,9 @@ class TestSampling:
         s = np.array([0.4, 0.3, 0.6])
         n = 120_000
         sign = -np.ones(n)
-        _, post = measure_array(
+        _, post = measure_rows(
             np.tile(s, (n, 1)), sign, np.full(n, math.pi / 4), cfg, rng)
-        target = dephased_state(s, -1.0, QUARTER, cfg)
+        target = dephased_row(s, -1.0, QUARTER, cfg)
         se = 3.0 / math.sqrt(n)
         assert post.mean(axis=0) == pytest.approx(target, abs=se)
 
@@ -146,7 +157,7 @@ class TestSampling:
             rng = np.random.default_rng(100 + seed)
             s = bb84(basis, bit)
             sign = np.full(n, sign_val)
-            _, post = measure_array(
+            _, post = measure_rows(
                 np.tile(s, (n, 1)), sign, np.full(n, math.pi / 4), cfg, rng)
             overlap = 0.5 * (1.0 + post @ s)
             flips = rng.random(n) > overlap
@@ -163,11 +174,11 @@ class TestSampling:
         rng0 = np.random.default_rng(7)
         quiet = PointerConfig(g=g, sigma_md=1.0)
         noisy = PointerConfig(g=g, sigma_md=1.0, sigma_phi=sphi)
-        om0, _ = measure_array(np.tile(s, (n, 1)), np.ones(n),
-                               np.full(n, math.pi / 4), quiet, rng0)
+        om0, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n),
+                              np.full(n, math.pi / 4), quiet, rng0)
         rng1 = np.random.default_rng(8)
-        om1, _ = measure_array(np.tile(s, (n, 1)), np.ones(n),
-                               np.full(n, math.pi / 4), noisy, rng1)
+        om1, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n),
+                              np.full(n, math.pi / 4), noisy, rng1)
         se_mean = 4 / math.sqrt(n)
         assert om1.mean() == pytest.approx(om0.mean(), abs=2 * se_mean)
         growth = om1.var(ddof=1) - om0.var(ddof=1)
@@ -181,8 +192,8 @@ class TestSampling:
         rng = np.random.default_rng(9)
         s = bb84(0, 0)
         n = 200_000
-        omega, _ = measure_array(np.tile(s, (n, 1)), np.ones(n),
-                                 np.full(n, math.pi / 4), cfg, rng)
+        omega, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n),
+                                np.full(n, math.pi / 4), cfg, rng)
         want = 0.4 * 0.5 * (1 + math.cos(math.pi / 4 + 0.2))
         assert omega.mean() == pytest.approx(want, abs=4 / math.sqrt(n))
 
@@ -190,6 +201,6 @@ class TestSampling:
         rng = np.random.default_rng(10)
         r = rng.normal(size=(500, 3))
         r /= np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1.0) * 1.0001
-        _, out = measure_array(r, np.ones(500), np.full(500, math.pi / 4),
-                               PointerConfig(g=0.3, sigma_md=1.0), rng)
+        _, out = measure_rows(r, np.ones(500), np.full(500, math.pi / 4),
+                              PointerConfig(g=0.3, sigma_md=1.0), rng)
         assert np.all(np.linalg.norm(out, axis=1) <= 1 + 1e-9)

@@ -8,6 +8,8 @@ rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+from wmqkd.harness import ProtocolConfig, run_protocol
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -43,3 +45,17 @@ def test_install_then_uninstall_restores_every_original():
     assert all(patched[site] is not originals[site] for site in originals)
     restored = site_values(spans)
     assert all(restored[site] is originals[site] for site in originals)
+
+
+def test_measured_signal_count_is_the_run_length():
+    # the tracer counts len(args[0]) of each measure_array call as signals, so
+    # the first argument must stay one entry per signal
+    spans = load_spans()
+    n = 3 * (1 << 16) + 123
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run_protocol(ProtocolConfig(n_signals=n, master_seed=5))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["pointer.measure_array.signals"] == n
