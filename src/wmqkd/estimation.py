@@ -14,8 +14,9 @@ checks), and produce the QBER / abort decision.
 Estimates are never clipped: a negative delta is the designed attack tripwire
 and must reach the nonnegativity check.  The nonnegativity verdict allows a
 statistical slack of `nonneg_z` standard errors, since at the honest noiseless
-boundary the raw check would fail on mean-zero noise; exact-expectation inputs
-(infinite counts) are checked against a deterministic tolerance.
+boundary the raw check would fail on mean-zero noise.  Exact-expectation
+statistics carry count = inf, so their standard errors are 0 by arithmetic;
+`wm_verification` is the one place that tells them from sampled statistics.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ INTENSITY_NAMES = {INTENSITY_SIGNAL: "signal", INTENSITY_DECOY: "decoy", INTENSI
 NO_CLICK = -1
 
 EXACT_TOL = 1e-12
+_CELL_PAIRS = np.triu_indices(8, 1)  # the 28 (i < j) pairs of flattened cells
 
 
 class EstimationError(RuntimeError):
@@ -129,18 +131,28 @@ def _count_records(path, fh) -> int:
     return newlines - (tail == "\n")  # the header ends in a newline; the last record may not
 
 
-def _bad_record_error(path) -> EstimationError | None:
-    """The first record without one number per column, at its file line; a slow pass for errors only."""
+def _loadtxt_rejects(text: str, column: int | None = None) -> bool:
+    """Whether np.loadtxt's parser, which unlike float() rejects '1_0' and
+    non-ASCII digits, fails on a record or one of its columns."""
+    try:
+        np.loadtxt([text], delimiter=",", usecols=column)
+    except ValueError:
+        return True
+    return False
+
+
+def _bad_record_error(path, first: int) -> EstimationError | None:
+    """The first record from record `first` on without one number per column, at
+    its file line; a slow pass for errors only."""
     with open(path) as fh:
-        for line, text in enumerate(islice(fh, 1, None), 2):
+        for line, text in enumerate(islice(fh, first + 1, None), first + 2):
             fields = text.split(",")
             if len(fields) != len(_LOG_FIELDS):
                 return EstimationError(f"{path} line {line}: {len(fields)} fields, expected {len(_LOG_FIELDS)}")
-            for name, field in zip(_LOG_FIELDS, fields):
-                try:
-                    float(field)
-                except ValueError:
-                    return EstimationError(f"{path} line {line}: {name} = {field.strip()!r} is not a number")
+            if _loadtxt_rejects(text):
+                field = next(k for k in range(len(fields)) if _loadtxt_rejects(text, k))
+                return EstimationError(f"{path} line {line}: {_LOG_FIELDS[field]} = "
+                                       f"{fields[field].strip()!r} is not a number")
     return None
 
 
@@ -176,9 +188,9 @@ def read_signal_log(path) -> SignalLog:
             try:
                 block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_ROWS)
             except ValueError as exc:  # a field count differs from the first's, or a field is no number
-                raise _bad_record_error(path) or exc
+                raise _bad_record_error(path, lo) or exc
             if block.shape[1] != len(_LOG_FIELDS):
-                raise _bad_record_error(path)
+                raise _bad_record_error(path, lo)
             _reject_bad_values(path, lo, block)
             for column, values in zip(columns.values(), block.T):
                 column[lo:lo + len(block)] = values
@@ -200,10 +212,6 @@ class ConditionedStats:
     mean: np.ndarray
     var: np.ndarray
     count: np.ndarray
-
-    @property
-    def exact(self) -> bool:
-        return bool(np.all(np.isinf(self.count)))
 
 
 def condition_and_average(log: SignalLog) -> list[ConditionedStats | None]:
@@ -367,11 +375,9 @@ def _delta_gradients(stats: ConditionedStats) -> np.ndarray:
 def delta_standard_errors(stats: ConditionedStats):
     """First-order (delta-method) standard errors of (delta_x, delta_z, delta_b).
 
-    Propagates the cell-mean sampling variances through the estimator; exact
-    statistics give zeros.
+    Propagates the cell-mean sampling variances var / count through the
+    estimator; exact statistics (count = inf) give +0.0.
     """
-    if stats.exact:
-        return 0.0, 0.0, 0.0
     grads = _delta_gradients(stats)
     mean_var = stats.var / stats.count
     ses = np.sqrt(np.tensordot(grads**2, mean_var, axes=([1, 2, 3], [0, 1, 2])))
@@ -380,14 +386,8 @@ def delta_standard_errors(stats: ConditionedStats):
 
 def coupling_standard_errors(stats: ConditionedStats, dark_fraction: float = 0.0):
     """Standard errors of (g+, g-): each is the mean of two complement-pair sums."""
-    if stats.exact:
-        return 0.0, 0.0
-    mean_var = stats.var / stats.count
-    out = []
-    for h in (0, 1):
-        var = 0.25 * float(mean_var[:, :, h].sum()) / (1.0 - dark_fraction) ** 2
-        out.append(math.sqrt(var))
-    return out[0], out[1]
+    var = 0.25 * (stats.var / stats.count).sum(axis=(0, 1)) / (1.0 - dark_fraction) ** 2
+    return math.sqrt(var[0]), math.sqrt(var[1])
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +418,14 @@ class EstimationThresholds:
             raise ValueError("g_sec and sigma_sec_sq must be positive")
         if not 0.0 < self.variance_equality_significance < 1.0:
             raise ValueError("variance_equality_significance must be in (0, 1)")
+        if not math.isfinite(self.nonneg_z):
+            raise ValueError(f"nonneg_z must be finite, got {self.nonneg_z}")
 
     def with_device_defaults(self, g: float, sigma_md: float) -> "EstimationThresholds":
         """Fill g_sec / sigma_sec_sq left None from the device's g and sigma_md."""
+        if self.g_sec is None and g <= 0:
+            raise ValueError(f"coupling g = {g} resolves g_sec = 1.2*g to {1.2 * g}: "
+                             "a weak measurement needs g > 0")
         return replace(
             self,
             g_sec=1.2 * g if self.g_sec is None else self.g_sec,
@@ -538,51 +543,40 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
 
     1. delta_X, delta_Z nonnegative (with `nonneg_z` standard-error slack on
        sampled data; exact data uses a 1e-12 tolerance).
-    2. g+, g- <= g_sec.
+    2. g+, g- <= g_sec (with the same slack; exact standard errors are 0).
     3. every conditioned variance <= sigma_sec_sq (physical units).
     4. conditioned variances statistically identical: two-sided variance-ratio
        tests over all 28 cell pairs, Bonferroni-corrected at the configured
-       significance.
+       significance; exact data allows the honest binomial branch term instead,
+       at most g^2/4 on top of the device variance.
     """
     if thresholds.g_sec is None or thresholds.sigma_sec_sq is None:
         raise ValueError("g_sec / sigma_sec_sq not set; use with_device_defaults first")
-    stats = ConditionedStats(report.cell_mean, report.cell_var, report.cell_count)
-    if stats.exact:
-        slack_x = slack_z = EXACT_TOL
-    else:
-        slack_x = thresholds.nonneg_z * report.delta_x_se
-        slack_z = thresholds.nonneg_z * report.delta_z_se
+    exact = bool(np.isinf(report.cell_count).all())
+    slack_x = EXACT_TOL if exact else thresholds.nonneg_z * report.delta_x_se
+    slack_z = EXACT_TOL if exact else thresholds.nonneg_z * report.delta_z_se
     nonneg = bool(report.rates.delta_x >= -slack_x) and bool(report.rates.delta_z >= -slack_z)
-    z = 0.0 if stats.exact else thresholds.nonneg_z
+    z = thresholds.nonneg_z
     couplings = (bool(report.g_plus <= thresholds.g_sec + z * report.g_plus_se)
                  and bool(report.g_minus <= thresholds.g_sec + z * report.g_minus_se))
     bounded = bool(np.all(report.cell_var <= thresholds.sigma_sec_sq))
 
     variances = report.cell_var.reshape(8)
-    counts = report.cell_count.reshape(8)
-    ratios = []
-    p_values = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            ratio = variances[i] / variances[j]
-            ratios.append(max(ratio, 1.0 / ratio) if ratio > 0 else np.inf)
-            if not stats.exact:
-                f_stat = ratio
-                p = sps.f.sf(f_stat, counts[i] - 1, counts[j] - 1)
-                p_values.append(2.0 * min(p, 1.0 - p))
-    if stats.exact:
-        # honest cells legitimately differ by the binomial branch term, at most
-        # g^2/4 on top of the device variance
+    i, j = _CELL_PAIRS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = variances[i] / variances[j]  # a NaN or non-positive ratio maps to inf
+        max_ratio = float(np.where(ratio > 0, np.maximum(ratio, 1.0 / ratio), np.inf).max())
+    if exact:
         g_avg = 0.5 * (report.g_plus + report.g_minus)
         branch_allowance = 0.25 * g_avg**2 / max(float(np.min(variances)), 1e-300)
-        equal = bool(max(ratios) <= 1.0 + branch_allowance + 1e-9)
+        equal = bool(max_ratio <= 1.0 + branch_allowance + 1e-9)
         min_p = 1.0
     else:
-        # np.min propagates a NaN p-value (a non-finite reading), so the check
-        # fails; min() would skip it.  ratios hold no NaN: a NaN ratio maps to inf
-        min_p = float(np.min(p_values))
+        counts = report.cell_count.reshape(8)
+        p = sps.f.sf(ratio, counts[i] - 1, counts[j] - 1)
+        min_p = float(np.min(2.0 * np.minimum(p, 1.0 - p)))  # propagates a NaN p-value: the check fails
         equal = min_p >= thresholds.variance_equality_significance / 28.0
-    return Verdicts(nonneg, couplings, bounded, equal, min_p, float(max(ratios)))
+    return Verdicts(nonneg, couplings, bounded, equal, min_p, max_ratio)
 
 
 def build_report(log: SignalLog, thresholds: EstimationThresholds,

@@ -208,6 +208,12 @@ class TestSweepCommand:
         assert "has no effect" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_zero_coupling_names_the_cause(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "sweep", "--axis", "pointer.g_over_sigma",
+                     "--values", "0,0.05"])
+        assert code == EXIT_USAGE
+        assert "coupling g = 0.0 resolves g_sec = 1.2*g to 0.0" in capsys.readouterr().err
+
     def test_intrinsic_error_up_to_half(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)
         code = main(["--config", cfg, "--out", str(tmp_path), "sweep",

@@ -344,6 +344,30 @@ class TestVerification:
         report = build_report(log, EstimationThresholds.for_device(G, 1.0))
         assert not report.verdicts.variances_equal
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_nan_cell_fails_its_checks(self, exact):
+        # every verdict is NaN-safe, on exact (count = inf) and on sampled statistics
+        if exact:
+            stats = exact_channel_stats(ChannelModel())
+        else:
+            log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 100_000, 12)
+            stats = condition_and_average(log)[INTENSITY_SIGNAL]
+        for field, checks in (("mean", ("errors_nonnegative",)),
+                              ("var", ("variances_bounded", "variances_equal"))):
+            moments = {"mean": stats.mean.copy(), "var": stats.var.copy()}
+            moments[field][1, 1, 1] = np.nan
+            report = report_from_stats(ConditionedStats(moments["mean"], moments["var"], stats.count),
+                                       EstimationThresholds.for_device(G, 1.0),
+                                       {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0})
+            assert not any(getattr(report.verdicts, check) for check in checks), field
+            assert report.abort
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_nonneg_z_must_be_finite(self, z):
+        # z * se must be 0 on exact statistics, whose standard errors are 0
+        with pytest.raises(ValueError, match="nonneg_z must be finite"):
+            EstimationThresholds(nonneg_z=z)
+
     def test_unresolved_device_thresholds_rejected(self):
         stats = exact_channel_stats(ChannelModel())
         with pytest.raises(ValueError, match="with_device_defaults"):
@@ -386,8 +410,13 @@ class TestStandardErrors:
         assert _delta_gradients(stats) == pytest.approx(want, rel=1e-6)
 
     def test_exact_gives_zero(self):
-        stats = exact_channel_stats(ChannelModel())
+        # var / inf is +0.0, so exact statistics need no special case; a -0
+        # would print into the report text
+        stats = exact_channel_stats(ChannelModel(depolarizing_prob=0.1, rotation_theta=0.2))
         assert delta_standard_errors(stats) == (0.0, 0.0, 0.0)
+        assert coupling_standard_errors(stats, 0.3) == (0.0, 0.0)
+        ses = delta_standard_errors(stats) + coupling_standard_errors(stats, 0.3)
+        assert all(math.copysign(1.0, se) == 1.0 for se in ses)
 
     def test_scaling_with_n(self):
         # the plug-in se is evaluated at the estimated couplings, so average a
@@ -509,6 +538,9 @@ class TestSignalLogIO:
     @pytest.mark.parametrize("record, message", [
         ("0,0,0,,0,0", "omega = '' is not a number"),
         ("0,x,0,0.1,0,0", "b = 'x' is not a number"),
+        # float() takes both, so only np.loadtxt's own parser finds the record
+        ("0,0,0,1_0,0,0", "omega = '1_0' is not a number"),
+        ("0,0,\u0663,0.1,0,0", "h = '\u0663' is not a number"),
     ])
     def test_non_numeric_field_names_the_line(self, tmp_path, record, message):
         # the bad record sits in the second parse block; numpy counted its row within that block

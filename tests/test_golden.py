@@ -45,6 +45,16 @@ DIGESTS = {
     "figures.fig6": "6b88a0ea38021e8ca0ea6e00fc83a5582e06de8dcaa059aba8e062a532e49061",
     "run.no_decoy.report": "485cf17064d3adfbac09912ea3a37532c08b54534c7c1ee33f696ef4fb4396ea",
     "sweep.system.distance_km": "86f14114648528267afa7b25ace8b0e720df7f582c8c75bf2cb5197e1201e5b9",
+    "sweep.attack.p_h": "0bcb65cbf73c8d6d9a034774596ba69c9e9b9f1133ea7e7b635bbced25643065",
+    "sweep.attack.phi": "444fe4e063a726b55ea8bd97843f03050bd4cb80e26023a9c3ac38ddf9b664ae",
+}
+
+# exact-statistics sweeps whose abort column flips: on the g^2/4 branch
+# allowance (p_h) and on the 1e-12 nonnegativity tolerance (phi)
+EXACT_SWEEPS = {
+    "attack.p_h": ("[attack]\nstrategy = fake_wm_strategy1\np_h = 0.9\nalpha = 1.0\n",
+                   "0.55,0.7,0.9,0.99,1"),
+    "attack.phi": ("[attack]\nstrategy = biased_observables\np_h = 1.0\n", "-0.3,-0.1,0,0.1,0.3"),
 }
 
 
@@ -79,6 +89,12 @@ def produce_outputs(tmp_path):
     main(["--config", str(lossy), "--out", str(tmp_path / "sweep_km"), "sweep",
           "--axis", "system.distance_km", "--values", "0,20,80,160,250"])
     outputs["sweep.system.distance_km"] = tmp_path / "sweep_km" / "sweep.csv"
+    for axis, (text, values) in EXACT_SWEEPS.items():
+        config = tmp_path / f"{axis}.ini"
+        config.write_text(text)
+        main(["--config", str(config), "--out", str(tmp_path / axis), "sweep",
+              "--axis", axis, f"--values={values}"])
+        outputs[f"sweep.{axis}"] = tmp_path / axis / "sweep.csv"
     for which in ("fig3", "fig5", "fig6"):
         main(["--out", str(tmp_path / "figures"), "figures", "--which", which])
         outputs[f"figures.{which}"] = tmp_path / "figures" / f"{which}.csv"

@@ -8,7 +8,7 @@ rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from wmqkd.harness import ProtocolConfig, run_protocol
+from wmqkd.harness import ProtocolConfig, analytic_report, run_protocol
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -59,3 +59,16 @@ def test_measured_signal_count_is_the_run_length():
     finally:
         tracer.uninstall()
     assert tracer.counts["pointer.measure_array.signals"] == n
+
+
+def test_analytic_report_calls_each_estimation_span_once():
+    # inlining one of these functions into its caller would silently zero its span
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        analytic_report(ProtocolConfig())
+    finally:
+        tracer.uninstall()
+    for name in ("report_from_stats", "delta_standard_errors", "wm_verification"):
+        assert tracer.calls[f"estimation.{name}"] == 1, name
