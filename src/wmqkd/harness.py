@@ -1,12 +1,15 @@
 """End-to-end protocol runner, analytic sweeps, and figure datasets.
 
-One run executes: source bits/bases -> intensity draw -> channel -> attack ->
-loss and detection (with dark counts) -> one weak measurement per signal
+One run executes: intensity draw -> loss and detection (with dark counts) ->
+source bits/bases -> channel -> attack -> one weak measurement per signal
 (observable chosen uniformly) -> strong Z measurement -> sifting -> the
-estimation subroutine -> key-rate evaluation.  Everything is deterministic
-given the master seed: every random stage draws from its own Philox stream
-keyed by (master_seed, stage tag) and partitioned into fixed 2^16-signal
-counter blocks.  A run walks those blocks in order and takes each one through
+estimation subroutine -> key-rate evaluation.  A window clicks by its intensity
+class alone, so detection comes first and the later stages run on the clicked
+signals only (every signal when the run keeps the full log).  Everything is
+deterministic given the master seed: every random stage draws from its own
+Philox stream keyed by (master_seed, stage tag) and partitioned into fixed
+2^16-signal counter blocks, always over the whole block, so what is kept never
+changes a value.  A run walks those blocks in order and takes each one through
 every stage before the next, so its memory is one block's temporaries plus
 the clicked records; the estimation subroutine then sees exactly the records
 a whole-array run would keep, in the same order.
@@ -24,6 +27,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -77,16 +81,33 @@ def _block_plan(n: int):
         yield block, min(BLOCK_SIZE, n - lo)
 
 
-def _block_uniform(master_seed: int, stage: str, block: int, size: int) -> np.ndarray:
-    return stage_block_generator(master_seed, stage, block).random(size)
+class _BlockStream:
+    """One (stage, block) stream whose draws cover the whole block but return the `kept` positions.
 
+    The stream advances as a draw for every signal would, so a kept signal's
+    values do not depend on what else is kept; kept = slice(None) copies
+    nothing.  It stands in for the Generator of code that draws per signal
+    (the shape that code passes is the kept one and is ignored).
+    """
 
-def _block_bits(master_seed: int, stage: str, block: int, size: int) -> np.ndarray:
-    return (_block_uniform(master_seed, stage, block, size) < 0.5).view(np.uint8)
+    def __init__(self, master_seed: int, stage: str, block: int, size: int, kept=slice(None)):
+        self.rng, self.size, self.kept = stage_block_generator(master_seed, stage, block), size, kept
+
+    def random(self, _shape=None) -> np.ndarray:
+        return self.rng.random(self.size)[self.kept]
+
+    def bits(self) -> np.ndarray:
+        return (self.random() < 0.5).view(np.uint8)
+
+    def normal(self, loc, scale, _shape=None) -> np.ndarray:
+        return self.rng.normal(loc, scale, self.size)[self.kept]
+
+    def standard_normal(self, _shape=None) -> np.ndarray:
+        return self.rng.standard_normal(self.size)[self.kept]
 
 
 def stage_uniform(master_seed: int, stage: str, n: int) -> np.ndarray:
-    return np.concatenate([_block_uniform(master_seed, stage, block, size)
+    return np.concatenate([_BlockStream(master_seed, stage, block, size).random()
                            for block, size in _block_plan(n)])
 
 
@@ -142,42 +163,32 @@ class RunResult:
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _alice_block(master_seed: int, block: int, size: int):
-    """Alice's bits, basis flags and the Bloch components (x, y, z) of her BB84 states."""
-    s_a = _block_bits(master_seed, "alice_bits", block, size)
-    b = _block_bits(master_seed, "alice_basis", block, size)
-    return s_a, b, bb84_bloch(s_a, b)
-
-
-def _block_intensities(master_seed: int, block: int, size: int, probs) -> np.ndarray:
+def _block_intensities(u: np.ndarray, probs) -> np.ndarray:
     """Intensity class per signal: how many cumulative class probabilities u passed.
 
     The class codes 0, 1, 2 (signal, decoy, vacuum) are the order of `probs`.
     """
-    u = _block_uniform(master_seed, "intensity", block, size)
     edges = np.cumsum(probs)
     return np.add(u >= edges[0], u >= edges[1], dtype=np.uint8)
 
 
-def _bob_block(master_seed: int, block: int, r, h: np.ndarray,
-               bias: np.ndarray, pointer: PointerConfig):
-    """Weak measurement of H(h) rotated by `bias` on every signal of a block, then a strong Z.
+def _bob_block(stream, r, h: np.ndarray, bias: np.ndarray, pointer: PointerConfig):
+    """Weak measurement of H(h) rotated by `bias` on the kept signals of a block, then a strong Z.
 
-    r holds the Bloch components (x, y, z) of the block's states.  Returns the
-    pointer readings and Bob's strong-measurement bits, drawn on the posterior's z.
+    stream(stage) opens that stage's `_BlockStream` at the kept positions, and
+    r holds their Bloch components (x, y, z).  Returns the pointer readings and
+    Bob's strong-measurement bits, drawn on the posterior's z.
     """
     sign = np.where(h == 0, 1.0, -1.0)
-    omega, (_, _, post_z) = measure_array(*r, sign, math.pi / 4 + bias, pointer,
-                                          stage_block_generator(master_seed, "bob_wm", block))
-    u_strong = _block_uniform(master_seed, "bob_strong", block, len(h))
-    return omega, (u_strong < 0.5 * (1.0 - post_z)).view(np.int8)
+    omega, (_, _, post_z) = measure_array(*r, sign, math.pi / 4 + bias, pointer, stream("bob_wm"))
+    return omega, (stream("bob_strong").random() < 0.5 * (1.0 - post_z)).view(np.int8)
 
 
-def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, master_seed: int, block: int) -> np.ndarray:
+def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, stream) -> np.ndarray:
     """Adversarial rotation of the measured projector, selective per Eve's guess."""
     if attack.strategy != "biased_observables":
         return np.zeros(len(h))
-    guess_right = _block_uniform(master_seed, "eve_observable_guess", block, len(h)) < attack.p_h
+    guess_right = stream("eve_observable_guess").random() < attack.p_h
     return np.where(guess_right, *adv.observable_biases(h, attack))
 
 
@@ -187,9 +198,12 @@ STAGES = ("source", "channel", "attack", "detection", "measurement", "estimation
 def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     """Execute the protocol once; deterministic in cfg.master_seed.
 
-    Every stage runs on one BLOCK_SIZE block at a time.  Only the per-class
-    sent counts, the sifted-key tallies and the clicked records outlive a
-    block (every record with keep_log); the estimation counts the clicks.
+    Every stage runs on one BLOCK_SIZE block at a time, detection first and
+    the rest on the clicked signals only (every signal with keep_log); each
+    stream is still drawn over the whole block, so the outputs are the same
+    either way.  Only the per-class sent counts, the sifted-key tallies and
+    the clicked records outlive a block (every record with keep_log); the
+    estimation counts the clicks.
     """
     timings = dict.fromkeys(STAGES, 0.0)
     tick = time.perf_counter()
@@ -212,8 +226,26 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     key_len = errors = eve_agreements = 0
     records = []
     for block, size in _block_plan(cfg.n_signals):
-        s_a, b, r = _alice_block(seed, block, size)
-        intensity = _block_intensities(seed, block, size, cfg.intensity_probs)
+        stream = partial(_BlockStream, seed, block=block, size=size)
+        intensity = _block_intensities(stream("intensity").random(), cfg.intensity_probs)
+        sent += np.bincount(intensity, minlength=3)
+        lap("source")
+
+        # a window clicks by its intensity class alone, whatever the state, so
+        # detection comes first and every later stage runs on the kept windows
+        p_photon = p_photon_by_class[intensity]
+        u = stream("detection").random()
+        photon_click = u < p_photon
+        dark_click = (~photon_click) & (u < p_photon + cfg.system.y0)
+        clicked = photon_click | dark_click
+        kept = slice(None) if keep_log else np.flatnonzero(clicked)
+        del p_photon, u, photon_click
+        clicked, dark_click, intensity = clicked[kept], dark_click[kept], intensity[kept]
+        lap("detection")
+
+        stream = partial(stream, kept=kept)
+        s_a, b = stream("alice_bits").bits(), stream("alice_basis").bits()
+        r = bb84_bloch(s_a, b)
         lap("source")
 
         r = cfg.channel.apply_array(*r)
@@ -222,39 +254,26 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         eve_bits = None
         if eve_on_channel:
             r, eve_bits = adv.intercept_resend_array(
-                r[0], r[2], b, attack.p_basis, stage_block_generator(seed, "eve_channel", block),
+                r[0], r[2], b, attack.p_basis, stream("eve_channel"),
                 force_z=attack.strategy == "fake_wm_strategy1")
         lap("attack")
 
-        p_photon = p_photon_by_class[intensity]
-        u = _block_uniform(seed, "detection", block, size)
-        photon_click = u < p_photon
-        dark_click = (~photon_click) & (u < p_photon + cfg.system.y0)
-        clicked = photon_click | dark_click
-        lap("detection")
-
         # Bob: one weak measurement per signal, then a strong Z measurement
-        h = _block_bits(seed, "bob_observable", block, size)
-        omega, s_b = _bob_block(seed, block, r, h, _bob_bias_angles(h, attack, seed, block), cfg.pointer)
+        h = stream("bob_observable").bits()
+        omega, s_b = _bob_block(stream, r, h, _bob_bias_angles(h, attack, stream), cfg.pointer)
         if dark_click.any():
             # dark windows carry a photonless pointer record centered at 0 and
             # a coin-flip bit; a block without one needs neither stream
-            dark_omega = stage_block_generator(seed, "dark_pointer", block).normal(
-                0.0, cfg.pointer.sigma_md, size)
-            omega = np.where(dark_click, dark_omega, omega)
-            s_b = np.where(dark_click, _block_bits(seed, "dark_bit", block, size).view(np.int8), s_b)
+            omega = np.where(dark_click, stream("dark_pointer").normal(0.0, cfg.pointer.sigma_md), omega)
+            s_b = np.where(dark_click, stream("dark_bit").bits().view(np.int8), s_b)
         if faked:
             # Eve's agent overwrites the device output for every detection window
             omega = adv.sample_strategy_fakes(
-                s_a, b, h, attack, cfg.pointer.g, cfg.pointer.sigma_md,
-                stage_block_generator(seed, "eve_fakes", block))
+                s_a, b, h, attack, cfg.pointer.g, cfg.pointer.sigma_md, stream("eve_fakes"))
         s_b = np.where(clicked, s_b, np.int8(NO_CLICK))
         lap("measurement")
 
-        sent += np.bincount(intensity, minlength=3)
-        kept = slice(None) if keep_log else np.flatnonzero(clicked)
-        records.append([column[kept] for column in (s_a, b, h, omega, s_b, intensity)])
-        lap("estimation")
+        records.append((s_a, b, h, omega, s_b, intensity))
 
         # ground truth from the oracle's side of the fence
         sift = clicked & (b == 0)
@@ -314,9 +333,10 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     """
     columns = []
     for block, size in _block_plan(n):
-        s_a, b, r = _alice_block(master_seed, block, size)
-        h = _block_bits(master_seed, "bob_observable", block, size)
-        omega, s_b = _bob_block(master_seed, block, channel.apply_array(*r), h, np.zeros(size), pointer)
+        stream = partial(_BlockStream, master_seed, block=block, size=size)
+        s_a, b = stream("alice_bits").bits(), stream("alice_basis").bits()
+        h = stream("bob_observable").bits()
+        omega, s_b = _bob_block(stream, channel.apply_array(*bb84_bloch(s_a, b)), h, np.zeros(size), pointer)
         columns.append((s_a, b, h, omega, s_b))
     s_a, b, h, omega, s_b = (np.concatenate(column) for column in zip(*columns))
     return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))

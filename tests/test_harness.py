@@ -306,6 +306,42 @@ class TestBlockPipelineEquivalence:
         assert peak / n < 40.0
 
 
+NOISY_DEVICE = dict(pointer=PointerConfig(0.05, 1.0, sigma_phi=0.02, bias_phi=0.01),
+                    channel=ChannelModel(0.03, 0.1))
+# dark-heavy: dark counts are 63 % of the lossy and 12 % of the lossless signal-class clicks
+DARK_SYSTEMS = {"lossy": SystemParams(y0=0.05), "lossless": replace(ProtocolConfig().system, y0=0.05)}
+
+
+class TestNoisyDevicePipelineEquivalence:
+    """Angle noise and dark-heavy blocks through the block loop, with and without the full log.
+
+    The pointer's angle noise is its first draw on the bob_wm stream, and dark
+    windows draw the dark_pointer and dark_bit streams: a run that keeps only
+    the clicked signals must still read them at the same stream positions.
+    """
+
+    @pytest.mark.parametrize("system", sorted(DARK_SYSTEMS))
+    @pytest.mark.parametrize("strategy", sorted(EQUIVALENCE_ATTACKS))
+    def test_matches_whole_array_run(self, strategy, system):
+        cfg = ProtocolConfig(n_signals=EQUIVALENCE_N, master_seed=101, attack=EQUIVALENCE_ATTACKS[strategy],
+                             system=DARK_SYSTEMS[system], **NOISY_DEVICE)
+        try:
+            expected, expected_log = reference_run(cfg)
+        except EstimationError as exc:
+            for keep_log in (False, True):
+                with pytest.raises(EstimationError, match=re.escape(str(exc))):
+                    run_protocol(cfg, keep_log=keep_log)
+            return
+        result = run_protocol(cfg)
+        kept = run_protocol(cfg, keep_log=True)
+        for res in (result, kept):
+            assert (res.report.to_text(), res.sifted_key_length, res.ground_truth_sifted_error,
+                    res.eve_sifted_knowledge, res.key_rate) == expected
+        for name in LOG_COLUMNS:
+            got, want = getattr(kept.log, name), getattr(expected_log, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 class TestHonestRun:
     def test_noiseless_passes_and_matches_ground_truth(self):
         cfg = ProtocolConfig(n_signals=1_000_000, master_seed=5)

@@ -47,18 +47,23 @@ def test_install_then_uninstall_restores_every_original():
     assert all(restored[site] is originals[site] for site in originals)
 
 
-def test_measured_signal_count_is_the_run_length():
+def test_measured_signal_count_is_the_kept_signal_count():
     # the tracer counts len(args[0]) of each measure_array call as signals, so
-    # the first argument must stay one entry per signal
+    # the first argument must stay one entry per measured signal: a run measures
+    # the clicked windows only, or every window when it keeps the full log
     spans = load_spans()
     n = 3 * (1 << 16) + 123
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        run_protocol(ProtocolConfig(n_signals=n, master_seed=5))
-    finally:
-        tracer.uninstall()
-    assert tracer.counts["pointer.measure_array.signals"] == n
+    for keep_log in (False, True):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            run_protocol(ProtocolConfig(n_signals=n, master_seed=5), keep_log=keep_log)
+        finally:
+            tracer.uninstall()
+        clicks = tracer.counts["estimation.clicks_in"]
+        assert 0 < clicks < n
+        expected = n if keep_log else clicks
+        assert tracer.counts["pointer.measure_array.signals"] == expected, keep_log
 
 
 def test_analytic_report_calls_each_estimation_span_once():
