@@ -33,6 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .estimation import CELLS
+
 INV_2ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 # the AttackConfig knobs each strategy reads (strategy 1's Eve always measures Z)
@@ -183,7 +185,7 @@ def _fake_cell_table(attack: AttackConfig, g: float, sigma_md: float):
     the standard deviation is the per-basis value the variance checks test.
     """
     cfg = attack.with_device_defaults(g, sigma_md)
-    s_a, basis, h = np.indices((2, 2, 2))
+    s_a, basis, h = CELLS
     t = np.where(h == 0, 1.0, -1.0)  # +1 for H+, -1 for H-
     bit_sign = np.where(s_a == 0, 1.0, -1.0)
     two_ph = 2.0 * cfg.p_h - 1.0

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .config import ConfigError, DEFAULT_CONFIG, config_with_seed, parse_config, parse_config_text
-from .estimation import EstimationError, build_report, read_signal_log
+from .estimation import EstimationError, build_report, read_signal_log, text_value
 from .harness import (
     fig3_dataset,
     fig5_dataset,
@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--seed", metavar="U64", type=int, help="master seed override")
     parser.add_argument("--format", choices=("csv", "report"), default="report",
-                        help="run/verify output format")
+                        help="run/attack output format")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="execute one protocol run")
     sub.add_parser("attack", help="execute one adversarial run (attack strategy required)")
@@ -79,10 +79,8 @@ def _emit_run(result, out_dir: str, fmt: str) -> None:
         path = os.path.join(out_dir, "run_report.txt")
         with open(path, "w", newline="\n") as fh:
             fh.write(result.report.to_text())
-            fh.write(f"run.sifted_key_length = {result.sifted_key_length}\n")
-            fh.write(f"run.ground_truth_sifted_error = {result.ground_truth_sifted_error:.17g}\n")
-            fh.write(f"run.key_rate = {result.key_rate:.17g}\n")
-            fh.write(f"run.undetected_attack = {'true' if result.undetected_attack else 'false'}\n")
+            for name in ("sifted_key_length", "ground_truth_sifted_error", "key_rate", "undetected_attack"):
+                fh.write(f"run.{name} = {text_value(getattr(result, name))}\n")
     else:
         path = os.path.join(out_dir, "run_summary.csv")
         header = ["qber", "abort", "delta_x", "delta_z", "delta_b",

@@ -8,8 +8,14 @@ reconstruct Bloch parameters and the error rates
     delta_X = (2 - r_x^+ + r_x^-)/4,   delta_Z = (2 - r_z^0 + r_z^1)/4,
     delta_b = (delta_X + delta_Z)/2,
 
-apply dark-count corrections, certify the weak measurements (four named
-checks), and produce the QBER / abort decision.
+apply dark-count corrections, certify the weak measurements (the four
+CHECK_NAMES), and produce the QBER / abort decision.
+
+One definition per report convention lives here: CELLS indexes the eight
+(bit, basis, observable) cells, a report's gains are the tuple
+(Q_mu, Q_nu, Q_vac) in class-code order, and `text_value` writes every report
+and CSV value.  The variance-equality p-values come from
+scipy.special.fdtrc, the F distribution's survival function.
 
 Estimates are never clipped: a negative delta is the designed attack tripwire
 and must reach the nonnegativity check.  The nonnegativity verdict allows a
@@ -26,7 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import fdtrc
 
 from .pointer import wm_disturbance_error
 
@@ -37,11 +43,19 @@ INTENSITY_NAMES = {INTENSITY_SIGNAL: "signal", INTENSITY_DECOY: "decoy", INTENSI
 NO_CLICK = -1
 
 EXACT_TOL = 1e-12
+CELLS = np.indices((2, 2, 2))  # (s_a, basis, h) of every conditioning cell
 _CELL_PAIRS = np.triu_indices(8, 1)  # the 28 (i < j) pairs of flattened cells
 
 
 class EstimationError(RuntimeError):
     """Abort-grade estimation failure (not a protocol abort): missing data, bad inputs."""
+
+
+def text_value(value) -> str:
+    """A report or CSV value as text: true/false, a float to 17 digits, else str()."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +375,7 @@ def _delta_gradients(stats: ConditionedStats) -> np.ndarray:
     delta = 1/2 - (sqrt2/2) sum_h T_h / S_h, T_h = sum_{s,b} c[s,b,h] m[s,b,h],
     for fixed +-1 tables c (c_b is the mean of c_x and c_z).
     """
-    s_a, basis, h = np.indices((2, 2, 2))
+    s_a, basis, h = CELLS
     bit_sign = np.where(s_a == 0, 1.0, -1.0)
     c_x = np.where(basis == 1, bit_sign * np.where(h == 0, 1.0, -1.0), 0.0)
     c_z = np.where(basis == 0, bit_sign, 0.0)
@@ -414,7 +428,7 @@ class EstimationThresholds:
     def __post_init__(self):
         if not 0.0 < self.delta_sec < 0.5:
             raise ValueError(f"delta_sec must be in (0, 0.5), got {self.delta_sec}")
-        if any(v is not None and v <= 0 for v in (self.g_sec, self.sigma_sec_sq)):
+        if any(v is not None and not v > 0 for v in (self.g_sec, self.sigma_sec_sq)):
             raise ValueError("g_sec and sigma_sec_sq must be positive")
         if not 0.0 < self.variance_equality_significance < 1.0:
             raise ValueError("variance_equality_significance must be in (0, 1)")
@@ -436,6 +450,9 @@ class EstimationThresholds:
         return cls(**kwargs).with_device_defaults(g, sigma_md)
 
 
+CHECK_NAMES = ("errors_nonnegative", "couplings_bounded", "variances_bounded", "variances_equal")
+
+
 @dataclass(frozen=True)
 class Verdicts:
     """The four weak-measurement certification checks (pass = True)."""
@@ -449,16 +466,10 @@ class Verdicts:
 
     @property
     def all_pass(self) -> bool:
-        return (self.errors_nonnegative and self.couplings_bounded
-                and self.variances_bounded and self.variances_equal)
+        return all(getattr(self, name) for name in CHECK_NAMES)
 
     def as_dict(self) -> dict:
-        return {
-            "errors_nonnegative": self.errors_nonnegative,
-            "couplings_bounded": self.couplings_bounded,
-            "variances_bounded": self.variances_bounded,
-            "variances_equal": self.variances_equal,
-        }
+        return {name: getattr(self, name) for name in CHECK_NAMES}
 
 
 @dataclass
@@ -476,7 +487,7 @@ class EstimationReport:
     delta_x_se: float
     delta_z_se: float
     delta_b_se: float
-    gains: dict
+    gains: tuple  # (Q_mu, Q_nu, Q_vac), in class-code order
     dark_fraction_signal: float
     dark_fraction_decoy: float
     delta_x_corrected: float
@@ -495,12 +506,7 @@ class EstimationReport:
         lines = []
 
         def put(key, value):
-            if isinstance(value, (bool, np.bool_)):
-                lines.append(f"{key} = {'true' if value else 'false'}")
-            elif isinstance(value, float):
-                lines.append(f"{key} = {value:.17g}")
-            else:
-                lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {text_value(value)}")
 
         for (i, j, k) in np.ndindex(2, 2, 2):
             cell = f"bit{i}_{'ZX'[j]}_H{'+-'[k]}"
@@ -516,7 +522,7 @@ class EstimationReport:
         put("estimate.delta_x_se", self.delta_x_se)
         put("estimate.delta_z_se", self.delta_z_se)
         put("estimate.delta_b_se", self.delta_b_se)
-        for name, q in sorted(self.gains.items()):
+        for name, q in sorted(zip(INTENSITY_NAMES.values(), self.gains)):
             put(f"gain.{name}", q)
         put("dark.fraction_signal", self.dark_fraction_signal)
         put("dark.fraction_decoy", self.dark_fraction_decoy)
@@ -573,7 +579,7 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
         min_p = 1.0
     else:
         counts = report.cell_count.reshape(8)
-        p = sps.f.sf(ratio, counts[i] - 1, counts[j] - 1)
+        p = fdtrc(counts[i] - 1, counts[j] - 1, ratio)
         min_p = float(np.min(2.0 * np.minimum(p, 1.0 - p)))  # propagates a NaN p-value: the check fails
         equal = min_p >= thresholds.variance_equality_significance / 28.0
     return Verdicts(nonneg, couplings, bounded, equal, min_p, max_ratio)
@@ -592,8 +598,7 @@ def build_report(log: SignalLog, thresholds: EstimationThresholds,
     clicks = np.bincount(log.intensity[log.clicked], minlength=3)
     if sent is None:
         sent = np.bincount(log.intensity, minlength=3)
-    gains = {name: int(clicks[code]) / int(sent[code]) if sent[code] else 0.0
-             for code, name in INTENSITY_NAMES.items()}
+    gains = tuple(int(clicks[code]) / int(sent[code]) if sent[code] else 0.0 for code in INTENSITY_NAMES)
     stats = condition_and_average(log)
     if stats[INTENSITY_SIGNAL] is None:
         raise EstimationError("empty or singleton conditioning cell at intensity 'signal'")
@@ -601,15 +606,13 @@ def build_report(log: SignalLog, thresholds: EstimationThresholds,
 
 
 def report_from_stats(stats: ConditionedStats, thresholds: EstimationThresholds,
-                      gains: dict, stats_decoy: ConditionedStats | None = None) -> EstimationReport:
-    """Estimation subroutine on pre-conditioned statistics.
+                      gains: tuple, stats_decoy: ConditionedStats | None = None) -> EstimationReport:
+    """Estimation subroutine on pre-conditioned statistics and the gains (Q_mu, Q_nu, Q_vac).
 
     Entry point for the analytic (exact-expectation) paths, which build
     ConditionedStats with infinite counts.
     """
-    q_vac = gains.get("vacuum", 0.0)
-    q_mu = gains.get("signal", 0.0)
-    q_nu = gains.get("decoy", 0.0)
+    q_mu, q_nu, q_vac = gains
     # sampling noise can push a tiny vacuum gain above the others; cap at 1
     d_mu = dark_count_fraction(q_mu, min(q_vac, q_mu)) if q_mu > 0 else 0.0
     d_nu = dark_count_fraction(q_nu, min(q_vac, q_nu)) if q_nu > 0 else 0.0
@@ -643,7 +646,7 @@ def report_from_stats(stats: ConditionedStats, thresholds: EstimationThresholds,
         g_plus=g_plus, g_minus=g_minus, g_plus_se=g_plus_se, g_minus_se=g_minus_se,
         rates=rates,
         delta_x_se=se_x, delta_z_se=se_z, delta_b_se=se_b,
-        gains=dict(gains), dark_fraction_signal=d_mu, dark_fraction_decoy=d_nu,
+        gains=tuple(gains), dark_fraction_signal=d_mu, dark_fraction_decoy=d_nu,
         delta_x_corrected=dx_corr, delta_z_corrected=dz_corr, delta_b_corrected=db_corr,
         decoy_rates=decoy_rates, delta_x_decoy_corrected=delta_x_nu_corr,
         sigma_md_sq_lower=sigma_md_sq_lower, delta_wm_estimate=delta_wm_est,

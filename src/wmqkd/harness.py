@@ -34,6 +34,7 @@ import numpy as np
 from . import adversary as adv
 from .bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis
 from .estimation import (
+    CELLS,
     INTENSITY_SIGNAL,
     NO_CLICK,
     EstimationReport,
@@ -43,6 +44,7 @@ from .estimation import (
     dark_count_fraction,
     exact_stats,
     report_from_stats,
+    text_value,
 )
 from .keyrate import (
     DecoyConfig,
@@ -132,9 +134,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_signals < 1:
             raise ValueError("n_signals must be >= 1")
-        if len(self.intensity_probs) != 3 or any(p < 0 for p in self.intensity_probs):
+        if len(self.intensity_probs) != 3 or any(not p >= 0 for p in self.intensity_probs):
             raise ValueError("intensity_probs must be three nonnegative numbers")
-        if abs(sum(self.intensity_probs) - 1.0) > 1e-9:
+        if not abs(sum(self.intensity_probs) - 1.0) <= 1e-9:
             raise ValueError(f"intensity_probs must sum to 1, got {self.intensity_probs}")
 
     def resolved_thresholds(self) -> EstimationThresholds:
@@ -310,8 +312,7 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
 
 def _estimated_key_rate(report: EstimationReport, cfg: ProtocolConfig) -> float:
     """Decoy rate evaluated on the run's estimated gains and error rates."""
-    gains = report.gains
-    q_mu, q_nu, q_vac = gains.get("signal", 0.0), gains.get("decoy", 0.0), gains.get("vacuum", 0.0)
+    q_mu, q_nu, q_vac = report.gains
     if q_nu <= 0.0 or q_mu <= 0.0:
         # no decoy data: fall back to the idealized rate at the estimated QBER
         return smoothed_rate(report.qber)
@@ -346,12 +347,9 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
 # analytic (exact-expectation) mode
 # ---------------------------------------------------------------------------
 
-_CELLS = np.indices((2, 2, 2))  # (s_a, basis, h) of every conditioning cell
-
-
 def _honest_cell_expectations(cfg: ProtocolConfig, attack: adv.AttackConfig) -> np.ndarray:
     """Marginal shifted-branch probability E per (bit, basis, observable) cell."""
-    s_a, basis, h = _CELLS
+    s_a, basis, h = CELLS
     r_x, _, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
     if attack.strategy == "intercept_resend":
         r_x, r_z = adv.intercept_resend_mean_state(r_x, r_z, basis, attack.p_basis)
@@ -382,8 +380,7 @@ def exact_cell_statistics(cfg: ProtocolConfig):
 def analytic_report(cfg: ProtocolConfig) -> EstimationReport:
     """The estimation subroutine fed with exact expectations (no sampling)."""
     mean, var = exact_cell_statistics(cfg)
-    q_mu, q_nu, q_vac = honest_gains(cfg.system, cfg.decoy)
-    gains = {"signal": q_mu, "decoy": q_nu, "vacuum": q_vac}
+    gains = q_mu, q_nu, q_vac = honest_gains(cfg.system, cfg.decoy)
     d_mu = dark_count_fraction(q_mu, q_vac)
     d_nu = dark_count_fraction(q_nu, q_vac)
     stats = exact_stats((1.0 - d_mu) * mean, var)
@@ -529,15 +526,7 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+            fh.write(",".join(text_value(v) for v in row) + "\n")
 
 
 def rows_to_csv(path, rows: list[dict]) -> None:

@@ -64,9 +64,9 @@ class SystemParams:
                 raise ValueError(f"{name} must be in [0,1], got {value}")
         if not 0.0 <= self.e_d <= 0.5:
             raise ValueError(f"e_d must be in [0, 0.5], got {self.e_d}")
-        if self.loss_db_per_km < 0 or self.distance_km < 0:
+        if not (self.loss_db_per_km >= 0 and self.distance_km >= 0):
             raise ValueError("loss and distance must be nonnegative")
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
 
     @property

@@ -54,11 +54,11 @@ class PointerConfig:
     bias_phi: float = 0.0
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if self.sigma_md <= 0:
+        if not self.sigma_md > 0:
             raise ValueError(f"sigma_md must be > 0, got {self.sigma_md}")
-        if self.sigma_phi < 0:
+        if not self.sigma_phi >= 0:
             raise ValueError(f"sigma_phi must be >= 0, got {self.sigma_phi}")
         if self.weakness_ratio > WEAKNESS_WARN_RATIO:
             warnings.warn(

@@ -143,6 +143,18 @@ class TestRunCommand:
         code = main(["--config", cfg, "run"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("section,key", [
+        ("source", "p_signal"), ("pointer", "g"), ("pointer", "sigma_md"), ("pointer", "sigma_phi"),
+        ("thresholds", "g_sec"), ("thresholds", "sigma_sec_sq"), ("system", "distance_km"),
+        ("system", "loss_db_per_km"), ("system", "f_ec"),
+    ])
+    def test_nan_setting_is_usage_error(self, tmp_path, section, key):
+        # each passed its range check and ended in a report (exit 0 or 3) or exit 2
+        cfg = write(tmp_path, "nan.ini", f"[run]\nn_signals = 100000\n\n[{section}]\n{key} = nan\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)
         main(["--config", cfg, "--out", str(tmp_path / "a"), "--format", "csv", "run"])

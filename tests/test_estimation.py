@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -280,7 +283,7 @@ class TestVerification:
         report = report_from_stats(
             exact_stats(mean, stats.var),
             EstimationThresholds.for_device(G, 1.0),
-            {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0},
+            (1.0, 0.0, 0.0),
         )
         assert report.rates.delta_x > 0.5  # mirrored contrast
         mean2 = stats.mean.copy()
@@ -288,7 +291,7 @@ class TestVerification:
         report2 = report_from_stats(
             exact_stats(mean2, stats.var),
             EstimationThresholds.for_device(G, 1.0),
-            {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0},
+            (1.0, 0.0, 0.0),
         )
         assert not report2.verdicts.errors_nonnegative or report2.rates.delta_x >= 0
 
@@ -310,7 +313,7 @@ class TestVerification:
         report = report_from_stats(
             exact_stats(stats.mean * 1.5, stats.var),
             EstimationThresholds.for_device(G, 1.0),
-            {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0},
+            (1.0, 0.0, 0.0),
         )
         assert not report.verdicts.couplings_bounded
         assert report.abort
@@ -320,7 +323,7 @@ class TestVerification:
         report = report_from_stats(
             exact_stats(stats.mean, stats.var * 1.4),
             EstimationThresholds.for_device(G, 1.0),
-            {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0},
+            (1.0, 0.0, 0.0),
         )
         assert not report.verdicts.variances_bounded
 
@@ -358,9 +361,17 @@ class TestVerification:
             moments[field][1, 1, 1] = np.nan
             report = report_from_stats(ConditionedStats(moments["mean"], moments["var"], stats.count),
                                        EstimationThresholds.for_device(G, 1.0),
-                                       {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0})
+                                       (1.0, 0.0, 0.0))
             assert not any(getattr(report.verdicts, check) for check in checks), field
             assert report.abort
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the variance-equality p-values need one special function, not scipy.stats
+        code = "import sys, wmqkd; print('scipy.stats' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(estimation.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.strip() == "False"
 
     @pytest.mark.parametrize("z", [math.inf, math.nan])
     def test_nonneg_z_must_be_finite(self, z):
@@ -372,7 +383,7 @@ class TestVerification:
         stats = exact_channel_stats(ChannelModel())
         with pytest.raises(ValueError, match="with_device_defaults"):
             report_from_stats(stats, EstimationThresholds(),
-                              {"signal": 1.0, "decoy": 0.0, "vacuum": 0.0})
+                              (1.0, 0.0, 0.0))
 
     def test_abort_on_high_qber(self):
         report = self.honest_report(channel=ChannelModel(depolarizing_prob=0.4))
