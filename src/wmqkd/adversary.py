@@ -278,7 +278,7 @@ def biased_estimates_selective(r_params: dict, phi: float, phi_prime: float,
 
 
 def optimal_bias_angles(r_x_plus: float, r_z_plus: float, r_x_0: float, r_z_0: float,
-                        p_h: float, degenerate_tol: float = 1e-12) -> tuple[float, float]:
+                        p_h: float) -> tuple[float, float]:
     """Eve's bias angles minimizing the estimated QBER under partial p_H knowledge.
 
     tan(phi)  = [r_x^+ - r_z^+(2pH-1) - r_z^0 + r_x^0(2pH-1)] /
@@ -297,7 +297,8 @@ def optimal_bias_angles(r_x_plus: float, r_z_plus: float, r_x_0: float, r_z_0: f
     b = r_z_0 + r_z_plus * two_ph
     a_p = r_x_plus - r_x_0 * two_ph
     b_p = r_z_0 - r_z_plus * two_ph
-    if a * a + b * b < degenerate_tol**2 or a_p * a_p + b_p * b_p < degenerate_tol**2:
+    tol = 1e-12  # a sinusoid of smaller amplitude prefers no angle
+    if a * a + b * b < tol**2 or a_p * a_p + b_p * b_p < tol**2:
         return 0.0, 0.0
     phi = math.atan2(a, b) - math.pi / 4
     phi_prime = math.atan2(a_p, b_p) - math.pi / 4

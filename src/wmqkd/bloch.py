@@ -97,17 +97,14 @@ def true_error_rates(c: ChannelModel) -> tuple[float, float]:
     return delta_x, delta_z
 
 
-def binary_entropy(x):
-    """H2(x) = -x log2 x - (1-x) log2 (1-x) with the 0 log 0 = 0 convention.
+def binary_entropy(x: float) -> float:
+    """H2(x) = -x log2 x - (1-x) log2 (1-x) of one error rate, with 0 log 0 = 0.
 
-    Accepts scalars or arrays; rejects inputs outside [0, 1].
+    Rejects x outside [0, 1]; NaN passes through.  np.log2, not math.log2:
+    the two differ in the last bit on some doubles.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if x < 0.0 or x > 1.0:
         raise ValueError(f"binary_entropy domain is [0,1], got {x!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -arr * np.log2(arr) - (1.0 - arr) * np.log2(1.0 - arr)
-    h = np.where((arr == 0.0) | (arr == 1.0), 0.0, h)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(h)
-    return h
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))

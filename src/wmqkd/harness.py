@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -138,6 +138,11 @@ class ProtocolConfig:
             raise ValueError("intensity_probs must be three nonnegative numbers")
         if not abs(sum(self.intensity_probs) - 1.0) <= 1e-9:
             raise ValueError(f"intensity_probs must sum to 1, got {self.intensity_probs}")
+        # one boundary for every float knob: NaN or inf must not reach a run
+        for section, sub in vars(self).items():
+            for key, value in vars(sub).items() if is_dataclass(sub) else ():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{section}.{key} must be finite, got {value}")
 
     def resolved_thresholds(self) -> EstimationThresholds:
         """Thresholds with g_sec / sigma_sec_sq left unset resolved against the pointer."""

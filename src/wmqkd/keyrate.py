@@ -6,8 +6,10 @@ Single-photon bounds from the measured gains (Q_mu, Q_nu, Q_vac):
                                           - Q_vac (mu^2 - nu^2)/mu^2 ]
     eps_1^U = (eps_nu Q_nu e^nu - Q_vac / 2) / (Q_1^L e^mu nu/mu)
 
-feeding R = q { Q_1^L [1 - H2(eps_1^U)] - Q_mu f H2(eps_mu) } with split errors:
-eps_mu is the Z error of the signal pulses, eps_nu the X error of the decoys.
+feeding R = q { Q_1^L [1 - H2(eps_1^U)] - Q_mu f H2(eps_mu) }, with the sifting
+fraction q = SIFTING_FRACTION = 1/2 (Alice's basis is a fair coin and only
+Z-prepared signals make key) and split errors: eps_mu is the Z error of the
+signal pulses, eps_nu the X error of the decoys.
 `decoy_chain` is the one implementation.  Its callers: `wm_decoy_chain` (honest
 gains, errors debited by the measurement back-action), `bb84_decoy_chain` (no
 back-action) and the Monte Carlo run's key rate, fed with estimated gains and
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 
 from .bloch import binary_entropy
 from .estimation import corrected_error_rate, dark_count_fraction
+
+SIFTING_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,7 @@ class SystemParams:
     """Detector, channel and post-processing parameters.
 
     eta_d: total detection efficiency; y0: vacuum yield; e_d: intrinsic error
-    rate (source rotation); f_ec: error-reconciliation efficiency (constant per
-    run); q: sifting fraction, 1/2 since only Z-prepared signals make key.
+    rate (source rotation); f_ec: error-reconciliation efficiency (per run).
     """
 
     eta_d: float = 0.145
@@ -55,10 +58,9 @@ class SystemParams:
     distance_km: float = 20.0
     f_ec: float = 1.22
     e_d: float = 0.015
-    q: float = 0.5
 
     def __post_init__(self):
-        for name in ("eta_d", "y0", "q"):
+        for name in ("eta_d", "y0"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {value}")
@@ -145,8 +147,8 @@ def decoy_chain(q_mu: float, q_nu: float, q_vac: float, eps_mu: float, eps_nu: f
         return DecoyRateBreakdown(q_mu, q_nu, q_vac, 0.0, eps_mu, eps_nu, 0.5, 0.0, True)
     value = (eps_nu * q_nu * math.exp(cfg.nu) - 0.5 * q_vac) / (q1 * math.exp(cfg.mu) * cfg.nu / cfg.mu)
     eps1 = clip_error(value)
-    rate = params.q * (q1 * (1.0 - binary_entropy(eps1))
-                       - q_mu * params.f_ec * binary_entropy(eps_mu))
+    rate = SIFTING_FRACTION * (q1 * (1.0 - binary_entropy(eps1))
+                               - q_mu * params.f_ec * binary_entropy(eps_mu))
     return DecoyRateBreakdown(q_mu, q_nu, q_vac, q1, eps_mu, eps_nu, eps1, max(rate, 0.0), eps1 != value)
 
 

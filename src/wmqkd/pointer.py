@@ -19,11 +19,8 @@ holds them, and observables are given by their family sign and total axis
 angle (``wmqkd.bloch.projector_axis``): ``measure_array`` samples readings and
 posteriors for a batch, and ``dephased_state`` is the reading-averaged map.
 
-Variance conventions: simulated readings carry Var[omega] = sigma_md^2 plus
-the binomial branch term g^2 <P>(1-<P>).  Some closed-form device checks are
-stated in coupling-scaled units where the variance is (g sigma_md)^2; use
-``coupling_scaled_variance`` / ``physical_pointer_variance`` to convert, and
-see each formula's docstring for which convention it expects.
+Readings are in physical units: Var[omega] = sigma_md^2 plus the binomial
+branch term g^2 <P>(1-<P>), and every variance in the package uses them.
 """
 
 from __future__ import annotations
@@ -93,16 +90,6 @@ def wm_disturbance_error(g: float, sigma: float) -> float:
 def pointer_variance(p_expectation, g: float, sigma: float):
     """Analytic reading variance sigma^2 + g^2 <P>(1-<P>) (physical units)."""
     return sigma**2 + g**2 * p_expectation * (1.0 - p_expectation)
-
-
-def coupling_scaled_variance(physical_variance: float, g: float) -> float:
-    """Convert a physical reading variance to the (g sigma)^2 convention."""
-    return g * g * physical_variance
-
-
-def physical_pointer_variance(scaled_variance: float, g: float) -> float:
-    """Convert a (g sigma)^2-convention variance to physical units."""
-    return scaled_variance / (g * g)
 
 
 def sample_readings(p_expectations, g, sigma, rng):

@@ -176,8 +176,9 @@ def test_criterion_4_complement_identity_and_concavity():
     # entropy concavity over the full 100 x 100 grid on [0, 1/2]^2
     grid = np.linspace(0.0, 0.5, 100)
     a, b = np.meshgrid(grid, grid)
-    lhs = 1.0 - 2.0 * binary_entropy((a + b) / 2.0)
-    rhs = 1.0 - binary_entropy(a) - binary_entropy(b)
+    h2 = np.vectorize(binary_entropy)  # H2 takes one error rate
+    lhs = 1.0 - 2.0 * h2((a + b) / 2.0)
+    rhs = 1.0 - h2(a) - h2(b)
     gap = float(np.min(rhs - lhs))
     assert gap >= -1e-12
     _passed(4, f"complement identity worst residual {worst:.2e}; "

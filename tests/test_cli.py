@@ -143,14 +143,21 @@ class TestRunCommand:
         code = main(["--config", cfg, "run"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("section,key", [
-        ("source", "p_signal"), ("pointer", "g"), ("pointer", "sigma_md"), ("pointer", "sigma_phi"),
-        ("thresholds", "g_sec"), ("thresholds", "sigma_sec_sq"), ("system", "distance_km"),
-        ("system", "loss_db_per_km"), ("system", "f_ec"),
-    ])
-    def test_nan_setting_is_usage_error(self, tmp_path, section, key):
+    NON_FINITE = [
+        ("source", "p_signal", "nan"), ("pointer", "g", "nan"), ("pointer", "sigma_md", "nan"),
+        ("pointer", "sigma_phi", "nan"), ("thresholds", "g_sec", "nan"),
+        ("thresholds", "sigma_sec_sq", "nan"), ("system", "distance_km", "nan"),
+        ("system", "loss_db_per_km", "nan"), ("system", "f_ec", "nan"),
+        ("pointer", "bias_phi", "nan"), ("channel", "rotation_theta", "nan"), ("attack", "phi", "nan"),
+        ("thresholds", "sigma_phi_upper", "nan"), ("pointer", "g", "inf"),
+        ("pointer", "sigma_md", "inf"), ("system", "distance_km", "inf"),
+    ]
+
+    @pytest.mark.parametrize("section,key,value", NON_FINITE,
+                             ids=[f"{s}-{k}" + ("" if v == "nan" else f"-{v}") for s, k, v in NON_FINITE])
+    def test_nan_setting_is_usage_error(self, tmp_path, section, key, value):
         # each passed its range check and ended in a report (exit 0 or 3) or exit 2
-        cfg = write(tmp_path, "nan.ini", f"[run]\nn_signals = 100000\n\n[{section}]\n{key} = nan\n")
+        cfg = write(tmp_path, "bad.ini", f"[run]\nn_signals = 100000\n\n[{section}]\n{key} = {value}\n")
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == EXIT_USAGE
         assert not out.exists()

@@ -483,6 +483,20 @@ class TestAnalyticMode:
             assert var.tobytes() == (sig**2 + g**2 * e * (1.0 - e)).tobytes()
         assert seen == {"none", "intercept_resend", "biased_observables"}
 
+    def test_delta_b_never_understates_the_channel(self):
+        # the paper's robustness claim: angle noise and a fixed device bias can
+        # only raise the symmetrized estimate above the channel's true error
+        rng = np.random.default_rng(1709)
+        worst = math.inf
+        for _ in range(2000):
+            channel = ChannelModel(depolarizing_prob=float(rng.uniform(0.0, 0.3)),
+                                   rotation_theta=float(rng.uniform(-1.2, 1.2)))
+            pointer = PointerConfig(g=0.05, sigma_md=1.0, bias_phi=float(rng.uniform(-0.7, 0.7)),
+                                    sigma_phi=float(rng.uniform(0.0, 0.5)))
+            delta_b = analytic_report(ProtocolConfig(pointer=pointer, channel=channel)).rates.delta_b
+            worst = min(worst, delta_b - float(np.mean(true_error_rates(channel))))
+        assert worst >= -1e-12
+
     def test_abort_monotone_in_noise(self):
         cfg = ProtocolConfig(n_signals=1000, master_seed=1)
         aborted = [analytic_report(set_config_axis(cfg, "channel.depolarizing_prob", p)).abort

@@ -9,8 +9,6 @@ from wmqkd.pointer import (
     dephased_state,
     dephasing_factor,
     measure_array,
-    coupling_scaled_variance,
-    physical_pointer_variance,
     pointer_variance,
     wm_disturbance_error,
 )
@@ -49,10 +47,6 @@ class TestPointerConfig:
     def test_weakness_warning(self):
         with pytest.warns(UserWarning, match="no longer weak"):
             PointerConfig(g=0.6, sigma_md=1.0)
-
-    def test_conversion_round_trip(self):
-        v = pointer_variance(0.85, 0.05, 1.0)
-        assert physical_pointer_variance(coupling_scaled_variance(v, 0.05), 0.05) == pytest.approx(v)
 
 
 class TestDisturbance:
