@@ -5,7 +5,8 @@ sweep (parameter sweep to CSV), figures (reference dataset regeneration),
 verify (weak-measurement verification battery on a signal-log file).
 
 Exit status: 0 completed without abort; 3 protocol abort / verification
-failure; 1 usage or configuration error; 2 internal error.
+failure, an estimate that cannot be formed included (its failing verdict names
+it); 1 usage, configuration or signal-log format error; 2 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -163,9 +164,6 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EstimationError as exc:
-        print(f"estimation failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

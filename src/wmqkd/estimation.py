@@ -9,7 +9,9 @@ reconstruct Bloch parameters and the error rates
     delta_b = (delta_X + delta_Z)/2,
 
 apply dark-count corrections, certify the weak measurements (the four
-CHECK_NAMES), and produce the QBER / abort decision.
+CHECK_NAMES), and produce the QBER / abort decision.  An estimate that cannot
+be formed (a thin cell, a coupling <= 0, all clicks dark) raises nothing: its
+NaN, inf or non-positive value fails a named check, and the run aborts.
 
 One definition per report convention lives here: CELLS indexes the eight
 (bit, basis, observable) cells, a report's gains are the tuple
@@ -48,7 +50,7 @@ _CELL_PAIRS = np.triu_indices(8, 1)  # the 28 (i < j) pairs of flattened cells
 
 
 class EstimationError(RuntimeError):
-    """Abort-grade estimation failure (not a protocol abort): missing data, bad inputs."""
+    """A signal-log file that breaks the interchange format (raised by `read_signal_log` only)."""
 
 
 def text_value(value) -> str:
@@ -75,7 +77,8 @@ class SignalLog:
     s_a: Alice's bit; b: basis flag (0=Z, 1=X); h: Bob's observable flag
     (0=H+, 1=H-); omega: pointer reading; s_b: detection outcome (0/1, or
     NO_CLICK=-1); intensity: 0=signal mu, 1=decoy nu, 2=vacuum.  A flag
-    outside its range of integers after the dtype cast raises ValueError.
+    outside its range of integers after the dtype cast, or a non-finite
+    reading, raises ValueError.
     """
 
     s_a: np.ndarray
@@ -93,6 +96,8 @@ class SignalLog:
                 raise ValueError(f"signal log column {name!r} length mismatch")
             if flags and len(column) and not flags[0] <= column.min() <= column.max() <= flags[-1]:
                 raise ValueError(f"signal log column {name!r} holds a flag outside {flags}")
+        if not np.isfinite(self.omega).all():
+            raise ValueError("signal log column 'omega' holds a non-finite reading")
 
     def __len__(self) -> int:
         return len(self.s_a)
@@ -125,11 +130,12 @@ def write_signal_log(path, log: SignalLog) -> None:
             fh.write(_LOG_RECORD * (len(fields) // len(columns)) % fields)
 
 
-def _count_records(path, fh) -> int:
-    """Count the records, rejecting with its line number a blank or '#' line,
-    which np.loadtxt would skip.  Reads fh from its start in chunks.  The header
-    ends in a newline, so a blank line is a double newline, which numpy finds
-    faster than str.find (the needle's first character ends every line)."""
+def _count_records(path, fh) -> tuple[int, EstimationError | None]:
+    """Count the records before the first blank or '#' line, which np.loadtxt
+    would skip, and return that line's error (None when there is none).  Reads
+    fh from its start in chunks.  The header ends in a newline, so a blank line
+    is a double newline, which numpy finds faster than str.find (the needle's
+    first character ends every line)."""
     seen, newlines, tail = 0, 0, ""
     for chunk in iter(lambda: fh.read(_SCAN_CHUNK), ""):
         text = tail + chunk
@@ -139,10 +145,10 @@ def _count_records(path, fh) -> int:
             at, what = min(hit for hit in hits if hit[0] > 0)
             fh.seek(0)
             line = fh.read(seen - len(tail) + at).count("\n") + 1
-            raise EstimationError(f"{path} line {line}: {what} (a signal log has neither)")
+            return line - 2, EstimationError(f"{path} line {line}: {what} (a signal log has neither)")
         newlines += int(np.count_nonzero(newline)) - (tail == "\n")
         seen, tail = seen + len(chunk), chunk[-1]
-    return newlines - (tail == "\n")  # the header ends in a newline; the last record may not
+    return newlines - (tail == "\n"), None  # the header ends in a newline; the last record may not
 
 
 def _loadtxt_rejects(text: str, column: int | None = None) -> bool:
@@ -186,21 +192,20 @@ def read_signal_log(path) -> SignalLog:
     """Read an interchange file, rejecting blank and comment lines, records
     without six numeric fields, flags out of range and non-finite readings; an
     error names the first bad line.  Records are parsed a block at a time straight
-    into the log's typed columns, so the parse holds one float64 block beside them."""
+    into the log's typed columns, so the parse holds one float64 block beside them;
+    only the records before a blank or comment line are parsed."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SIGNAL_LOG_HEADER:
             raise EstimationError(f"bad signal-log header {header!r}, expected {SIGNAL_LOG_HEADER!r}")
         fh.seek(0)
-        records = _count_records(path, fh)
-        if records == 0:
-            raise EstimationError("empty signal log")
+        records, blank_or_comment = _count_records(path, fh)
         fh.seek(0)
         fh.readline()
         columns = {name: np.empty(records, dtype) for name, dtype in _COLUMN_DTYPES.items()}
         for lo in range(0, records, _READ_ROWS):
             try:
-                block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_ROWS)
+                block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=min(_READ_ROWS, records - lo))
             except ValueError as exc:  # a field count differs from the first's, or a field is no number
                 raise _bad_record_error(path, lo) or exc
             if block.shape[1] != len(_LOG_FIELDS):
@@ -208,6 +213,10 @@ def read_signal_log(path) -> SignalLog:
             _reject_bad_values(path, lo, block)
             for column, values in zip(columns.values(), block.T):
                 column[lo:lo + len(block)] = values
+    if blank_or_comment:
+        raise blank_or_comment
+    if records == 0:
+        raise EstimationError("empty signal log")
     return SignalLog(**columns)
 
 
@@ -228,13 +237,13 @@ class ConditionedStats:
     count: np.ndarray
 
 
-def condition_and_average(log: SignalLog) -> list[ConditionedStats | None]:
+def condition_and_average(log: SignalLog) -> list[ConditionedStats]:
     """Exact sample moments of the readings in the 8 (bit, basis, observable)
     cells of every intensity class, in one pass over the clicked records.
 
-    Returns one entry per class code; an entry is None when a cell of its class
-    holds fewer than two readings and so cannot be estimated.  No-click records
-    are skipped.
+    Returns one entry per class code.  A cell with fewer than two readings
+    cannot be estimated: its variance is NaN, and so is its mean when it is
+    empty.  No-click records are skipped.
     """
     clicked = log.clicked
     code = (log.intensity * 8 + log.s_a * 4 + log.b * 2 + log.h)[clicked]  # uint8: at most 23
@@ -244,9 +253,9 @@ def condition_and_average(log: SignalLog) -> list[ConditionedStats | None]:
     with np.errstate(divide="ignore", invalid="ignore"):  # a class may have empty cells
         means = sums / counts
         m2 = np.bincount(code, weights=(omega - means[code]) ** 2, minlength=24)
-        var = m2 / (counts - 1.0)
+        var = np.where(counts > 1, m2 / (counts - 1.0), np.nan)
     cells = (3, 2, 2, 2)  # class, bit, basis, observable
-    return [None if np.any(n < 2) else ConditionedStats(m, v, n)
+    return [ConditionedStats(m, v, n)
             for m, v, n in zip(means.reshape(cells), var.reshape(cells), counts.reshape(cells))]
 
 
@@ -282,11 +291,9 @@ def estimate_couplings(stats: ConditionedStats, dark_fraction: float = 0.0) -> t
     """Recover (g+, g-) from the complement identity mu_alpha + mu_alpha_perp = g.
 
     Dark counts deflate every conditional mean by (1 - d); the estimate divides
-    that back out.  Both orthogonal pairs (Z bits 0/1 and X bits +/-) are
-    averaged for variance reduction.
+    that back out (d = 1 gives inf or NaN).  Both orthogonal pairs (Z bits 0/1
+    and X bits +/-) are averaged for variance reduction.
     """
-    if dark_fraction >= 1.0:
-        raise EstimationError("all clicks are dark: cannot recover couplings")
     out = []
     for h in (0, 1):
         z_pair = stats.mean[0, 0, h] + stats.mean[1, 0, h]
@@ -316,8 +323,6 @@ def estimate_error_rates(stats: ConditionedStats, g_plus: float, g_minus: float,
     r_z = sqrt2(<H+> + <H-> - 1) at the Z states; the general (non-unital)
     delta formulas are used and reduce to the unital ones exactly.
     """
-    if g_plus <= 0 or g_minus <= 0:
-        raise EstimationError(f"non-positive coupling estimate: g+={g_plus}, g-={g_minus}")
     deflate = 1.0 - dark_fraction
     exp_p = stats.mean[:, :, 0] / (deflate * g_plus)   # [s_a, basis]
     exp_m = stats.mean[:, :, 1] / (deflate * g_minus)
@@ -333,12 +338,9 @@ def estimate_error_rates(stats: ConditionedStats, g_plus: float, g_minus: float,
 
 
 def dark_count_fraction(q_gamma: float, q_vac: float) -> float:
-    """Fraction of detections due to dark counts: d(gamma) = Q_vac / Q_gamma."""
-    if q_gamma <= 0.0:
-        raise EstimationError(f"Q_gamma must be positive, got {q_gamma}")
-    if q_vac < 0.0 or q_vac > q_gamma:
-        raise EstimationError(f"need 0 <= Q_vac <= Q_gamma, got Q_vac={q_vac}, Q_gamma={q_gamma}")
-    return q_vac / q_gamma
+    """Fraction of detections due to dark counts, d(gamma) = Q_vac / Q_gamma, with Q_vac
+    capped at Q_gamma (sampling noise can push a tiny vacuum gain above it); 0 if Q_gamma = 0."""
+    return min(q_vac, q_gamma) / q_gamma if q_gamma > 0 else 0.0
 
 
 def corrected_error_rate(delta_tilde: float, d_gamma: float) -> float:
@@ -549,7 +551,7 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
 
     1. delta_X, delta_Z nonnegative (with `nonneg_z` standard-error slack on
        sampled data; exact data uses a 1e-12 tolerance).
-    2. g+, g- <= g_sec (with the same slack; exact standard errors are 0).
+    2. 0 < g+, g- <= g_sec (with the same slack above; exact standard errors are 0).
     3. every conditioned variance <= sigma_sec_sq (physical units).
     4. conditioned variances statistically identical: two-sided variance-ratio
        tests over all 28 cell pairs, Bonferroni-corrected at the configured
@@ -563,8 +565,8 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
     slack_z = EXACT_TOL if exact else thresholds.nonneg_z * report.delta_z_se
     nonneg = bool(report.rates.delta_x >= -slack_x) and bool(report.rates.delta_z >= -slack_z)
     z = thresholds.nonneg_z
-    couplings = (bool(report.g_plus <= thresholds.g_sec + z * report.g_plus_se)
-                 and bool(report.g_minus <= thresholds.g_sec + z * report.g_minus_se))
+    couplings = (bool(0 < report.g_plus <= thresholds.g_sec + z * report.g_plus_se)
+                 and bool(0 < report.g_minus <= thresholds.g_sec + z * report.g_minus_se))
     bounded = bool(np.all(report.cell_var <= thresholds.sigma_sec_sq))
 
     variances = report.cell_var.reshape(8)
@@ -591,20 +593,19 @@ def build_report(log: SignalLog, thresholds: EstimationThresholds,
 
     The gain of a class is its clicked records over `sent[class]`, the signals
     sent in it; `sent` defaults to the log's own per-class record counts, which
-    is right for a log that keeps its no-click records.  The signal class's
-    cells must all be estimable; thin decoy cells leave the decoy error to the
-    signal estimates.
+    is right for a log that keeps its no-click records.  A signal cell that
+    cannot be estimated fails the checks its NaN moments reach; thin decoy
+    cells leave the decoy error to the signal estimates.
     """
     clicks = np.bincount(log.intensity[log.clicked], minlength=3)
     if sent is None:
         sent = np.bincount(log.intensity, minlength=3)
     gains = tuple(int(clicks[code]) / int(sent[code]) if sent[code] else 0.0 for code in INTENSITY_NAMES)
-    stats = condition_and_average(log)
-    if stats[INTENSITY_SIGNAL] is None:
-        raise EstimationError("empty or singleton conditioning cell at intensity 'signal'")
-    return report_from_stats(stats[INTENSITY_SIGNAL], thresholds, gains, stats_decoy=stats[INTENSITY_DECOY])
+    signal, decoy, _ = condition_and_average(log)
+    return report_from_stats(signal, thresholds, gains, stats_decoy=decoy if np.all(decoy.count > 1) else None)
 
 
+@np.errstate(all="ignore")  # a degenerate estimate computes to NaN or inf and fails its check
 def report_from_stats(stats: ConditionedStats, thresholds: EstimationThresholds,
                       gains: tuple, stats_decoy: ConditionedStats | None = None) -> EstimationReport:
     """Estimation subroutine on pre-conditioned statistics and the gains (Q_mu, Q_nu, Q_vac).
@@ -613,9 +614,8 @@ def report_from_stats(stats: ConditionedStats, thresholds: EstimationThresholds,
     ConditionedStats with infinite counts.
     """
     q_mu, q_nu, q_vac = gains
-    # sampling noise can push a tiny vacuum gain above the others; cap at 1
-    d_mu = dark_count_fraction(q_mu, min(q_vac, q_mu)) if q_mu > 0 else 0.0
-    d_nu = dark_count_fraction(q_nu, min(q_vac, q_nu)) if q_nu > 0 else 0.0
+    d_mu = dark_count_fraction(q_mu, q_vac)
+    d_nu = dark_count_fraction(q_nu, q_vac)
 
     g_plus, g_minus = estimate_couplings(stats, d_mu)
     g_plus_se, g_minus_se = coupling_standard_errors(stats, d_mu)

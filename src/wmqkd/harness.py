@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -401,23 +401,23 @@ _AXIS_HELP = "dotted config path, e.g. pointer.g_over_sigma, channel.depolarizin
 
 
 def set_config_axis(cfg: ProtocolConfig, axis: str, value) -> ProtocolConfig:
-    """Return cfg with the dotted `axis` field replaced by `value`."""
-    parts = axis.split(".")
+    """Return cfg with the dotted `axis` field replaced by `value`; an integer
+    field takes an integral value only, and a tuple field is no axis."""
     if axis == "pointer.g_over_sigma":
         return replace(cfg, pointer=replace(cfg.pointer, g=value * cfg.pointer.sigma_md))
-    if len(parts) == 1:
-        if not hasattr(cfg, parts[0]):
-            raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
-        return replace(cfg, **{parts[0]: value})
-    if len(parts) == 2:
-        section, fieldname = parts
-        if not hasattr(cfg, section):
-            raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
-        sub = getattr(cfg, section)
-        if not hasattr(sub, fieldname):
-            raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
-        return replace(cfg, **{section: replace(sub, **{fieldname: value})})
-    raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
+    *section, name = axis.split(".")
+    owner = getattr(cfg, section[0], None) if section else cfg
+    if len(section) > 1 or not is_dataclass(owner) or name not in {f.name for f in fields(owner)}:
+        raise ValueError(f"unknown axis {axis!r} ({_AXIS_HELP})")
+    current = getattr(owner, name)
+    if isinstance(current, tuple):
+        raise ValueError(f"axis {axis!r} holds a tuple and cannot be swept")
+    if isinstance(current, int):
+        if not float(value).is_integer():
+            raise ValueError(f"axis {axis!r} takes integers, got {value}")
+        value = int(value)
+    swept = replace(owner, **{name: value})
+    return replace(cfg, **{section[0]: swept}) if section else swept
 
 
 def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> list[dict]:

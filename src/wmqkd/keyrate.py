@@ -164,8 +164,8 @@ def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float) -> D
     corrected per intensity, is the error of both the signal and the decoy pulses.
     """
     q_mu, q_nu, q_vac = honest_gains(params, cfg)
-    d_mu = dark_count_fraction(q_mu, min(q_vac, q_mu))
-    d_nu = dark_count_fraction(q_nu, min(q_vac, q_nu))
+    d_mu = dark_count_fraction(q_mu, q_vac)
+    d_nu = dark_count_fraction(q_nu, q_vac)
     error = min(params.e_d + delta_wm, 0.5)
     return decoy_chain(q_mu, q_nu, q_vac, corrected_error_rate(error, d_mu),
                        corrected_error_rate(error, d_nu), params, cfg)

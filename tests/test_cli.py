@@ -5,7 +5,7 @@ import pytest
 
 from wmqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, main
 from wmqkd.config import ConfigError, DEFAULT_CONFIG, parse_config_text
-from wmqkd.estimation import write_signal_log
+from wmqkd.estimation import CHECK_NAMES, write_signal_log
 from wmqkd.harness import ProtocolConfig, channel_estimation_log, run_protocol, set_config_axis, sweep
 from wmqkd.bloch import ChannelModel
 from wmqkd.pointer import PointerConfig
@@ -126,6 +126,19 @@ class TestRunCommand:
         qber = float([l for l in report.splitlines() if l.startswith("qber =")][0].split("=")[1])
         assert qber > 0.2
 
+    @pytest.mark.parametrize("settings, failing", [
+        # the coupling estimate is negative at n = 2000; 150 km leaves signal cells empty
+        ("[run]\nn_signals = 2000\n", ("couplings_bounded", "variances_bounded")),
+        ("[run]\nn_signals = 200000\n[system]\neta_d = 0.145\ndistance_km = 150\n", CHECK_NAMES),
+    ], ids=["tiny_n", "150km"])
+    def test_unestimable_run_is_an_abort(self, tmp_path, settings, failing):
+        cfg = write(tmp_path, "run.ini", settings)
+        assert main(["--config", cfg, "--out", str(tmp_path), "run"]) == EXIT_ABORT
+        report = (tmp_path / "run_report.txt").read_text()
+        assert "abort = true" in report and "run.key_rate = 0" in report
+        for name in CHECK_NAMES:
+            assert f"verdict.{name} = {'fail' if name in failing else 'pass'}" in report, name
+
     def test_csv_format(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)
         code = main(["--config", cfg, "--out", str(tmp_path), "--format", "csv", "run"])
@@ -233,6 +246,36 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "coupling g = 0.0 resolves g_sec = 1.2*g to 0.0" in capsys.readouterr().err
 
+    def test_zero_coupling_under_explicit_g_sec_is_an_aborting_row(self, tmp_path):
+        # the g = 0 row estimates zero couplings and aborts; the sweep goes on
+        cfg = write(tmp_path, "run.ini", "[thresholds]\ng_sec = 0.06\n")
+        code = main(["--config", cfg, "--out", str(tmp_path), "sweep", "--axis", "pointer.g_over_sigma",
+                     "--values", "0,0.05"])
+        assert code == EXIT_OK
+        header, *rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+        assert [row[header.index("abort")] for row in rows] == ["true", "false"]
+
+    @pytest.mark.parametrize("axis, values", [("n_signals", "20000,30000"), ("master_seed", "1,2")])
+    def test_integer_axis(self, tmp_path, axis, values):
+        # the CLI parses every value as a float
+        cfg = write(tmp_path, "run.ini", "[run]\nn_signals = 20000\n")
+        code = main(["--config", cfg, "--out", str(tmp_path), "sweep", "--axis", axis,
+                     "--values", values, "--mode", "monte_carlo"])
+        assert code == EXIT_OK
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[axis, v] for v in values.split(",")]
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("intensity_probs", "0.5", "axis 'intensity_probs' holds a tuple"),
+        ("n_signals", "20000.5", "axis 'n_signals' takes integers, got 20000.5"),
+    ])
+    def test_axis_value_of_the_wrong_kind(self, tmp_path, capsys, axis, values, message):
+        code = main(["--out", str(tmp_path), "sweep", "--axis", axis, "--values", values,
+                     "--mode", "monte_carlo"])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_intrinsic_error_up_to_half(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)
         code = main(["--config", cfg, "--out", str(tmp_path), "sweep",
@@ -304,6 +347,13 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         header_name = {"s_a": "s_A", "h": "h", "omega": "omega"}[column]
         assert f"line {row + 2}: {header_name} = " in capsys.readouterr().err
+
+    def test_unestimable_log_is_a_verification_failure(self, tmp_path, capsys):
+        # four records leave six of the eight signal cells empty
+        path = tmp_path / "log.csv"
+        path.write_text("s_A,b,h,omega,s_B,intensity_class\n" + "0,0,0,0.1,0,0\n1,1,1,0.2,1,0\n" * 2)
+        assert main(["--out", str(tmp_path), "verify", str(path)]) == EXIT_ABORT
+        assert "couplings_bounded: FAIL" in capsys.readouterr().out
 
     def test_short_record_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "log.csv"

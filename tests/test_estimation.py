@@ -73,8 +73,11 @@ class TestConditioning:
         n = 4096
         log = SignalLog(np.zeros(n), np.zeros(n), np.zeros(n),
                         np.arange(n) % 2, np.zeros(n), np.zeros(n))
-        with pytest.raises(EstimationError):
-            build_report(log, EstimationThresholds.for_device(G, 1.0))  # 7 empty cells: abort-grade
+        # 7 empty cells: their NaN moments fail every check they reach, and the run aborts
+        report = build_report(log, EstimationThresholds.for_device(G, 1.0))
+        assert [name for name, ok in report.verdicts.as_dict().items() if not ok] == [
+            "errors_nonnegative", "couplings_bounded", "variances_bounded", "variances_equal"]
+        assert report.abort and math.isnan(report.g_plus) and math.isnan(report.qber)
         # pack the same readings into every cell instead
         rng = np.random.default_rng(1)
         s_a = rng.integers(0, 2, n).astype(np.uint8)
@@ -124,8 +127,12 @@ class TestConditioning:
             got = stats[code]
             for name, want in zip(("mean", "var", "count"), reference(log, code)):
                 assert getattr(got, name).tobytes() == want.tobytes(), (code, name)
-        # three vacuum records fill at most three of its eight cells
-        assert stats[INTENSITY_VACUUM] is None
+        # three vacuum records fill at most three of its eight cells: an empty cell
+        # has no mean, and a cell with fewer than two readings has no variance
+        vacuum = stats[INTENSITY_VACUUM]
+        assert vacuum.count.sum() <= 3
+        assert np.array_equal(np.isnan(vacuum.mean), vacuum.count == 0)
+        assert np.array_equal(np.isnan(vacuum.var), vacuum.count < 2)
 
     def test_permutation_invariance(self):
         log = make_log(seed=3)
@@ -180,10 +187,12 @@ class TestCouplings:
         assert gp == pytest.approx(G, abs=1e-15)
         assert gm == pytest.approx(G, abs=1e-15)
 
-    def test_all_dark_error(self):
+    def test_all_dark_class_fails_couplings_bounded(self):
+        # Q_vac = Q_mu: every click is dark and the couplings cannot be recovered
         stats = exact_channel_stats(ChannelModel())
-        with pytest.raises(EstimationError):
-            estimate_couplings(stats, dark_fraction=1.0)
+        report = report_from_stats(stats, EstimationThresholds.for_device(G, 1.0), (0.1, 0.05, 0.1))
+        assert report.dark_fraction_signal == 1.0
+        assert not report.verdicts.couplings_bounded and report.abort
 
     def test_monte_carlo_recovery(self):
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 400_000, 7)
@@ -235,10 +244,16 @@ class TestErrorRates:
         assert rates.delta_x == pytest.approx(dx, abs=1e-12)
         assert rates.delta_z == pytest.approx(dz, abs=1e-12)
 
-    def test_positive_couplings_required(self):
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_non_positive_coupling_fails_couplings_bounded(self, sign):
+        # negated cell means give g = -G and the same error estimates, which pass
+        # the nonnegativity check: only the coupling check stops them
         stats = exact_channel_stats(ChannelModel())
-        with pytest.raises(EstimationError):
-            estimate_error_rates(stats, 0.0, G)
+        stats = ConditionedStats(sign * stats.mean, stats.var, stats.count)
+        report = report_from_stats(stats, EstimationThresholds.for_device(G, 1.0), (0.1, 0.05, 0.0))
+        assert report.g_plus == pytest.approx(sign * G, abs=1e-15)
+        assert not report.verdicts.couplings_bounded and report.abort
+        assert report.verdicts.errors_nonnegative == (sign < 0)
 
 
 class TestDarkCounts:
@@ -246,10 +261,10 @@ class TestDarkCounts:
         assert dark_count_fraction(0.0273, 6e-6) == pytest.approx(2.1978e-4, rel=1e-3)
         assert dark_count_fraction(0.5, 0.5) == 1.0
         assert dark_count_fraction(0.5, 0.0) == 0.0
-        with pytest.raises(EstimationError):
-            dark_count_fraction(0.0, 0.0)
-        with pytest.raises(EstimationError):
-            dark_count_fraction(0.1, 0.2)
+        # a vacuum gain above Q_gamma is capped at it; a class with no detections has none dark
+        assert dark_count_fraction(0.1, 0.2) == 1.0
+        assert dark_count_fraction(0.0, 0.0) == 0.0
+        assert dark_count_fraction(0.0, 0.2) == 0.0
 
     def test_corrected_rate(self):
         assert corrected_error_rate(0.02, 0.1) == pytest.approx(0.068)
@@ -486,6 +501,13 @@ class TestSignalLogFlags:
         with pytest.raises(ValueError, match=f"column '{column}' holds a flag outside"):
             SignalLog(**columns)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_is_rejected(self, value):
+        omega = np.zeros(40)
+        omega[17] = value
+        with pytest.raises(ValueError, match="column 'omega' holds a non-finite reading"):
+            SignalLog(*([np.zeros(40)] * 3), omega, np.zeros(40), np.zeros(40))
+
     def test_in_range_flags_are_kept(self):
         log = SignalLog([0, 1, 1], [1, 0, 1], [0, 1, 0], [0.1, 0.2, 0.3], [-1, 0, 1], [0, 1, 2])
         assert np.array_equal(log.s_b, [-1, 0, 1]) and np.array_equal(log.intensity, [0, 1, 2])
@@ -510,6 +532,10 @@ class TestSignalLogIO:
         ("\n0,0,0,0.1,0,0\n", 2, "blank line"),
         ("0,0,0,0.1,0,0\n0,0,0,0.1,0,0 # note\n", 3, "comment"),
         ("0,0,0,0.1,0,0\n\n", 3, "blank line"),
+        # a bad record before the blank or comment line is the first bad line
+        ("0,0,0,0.1,0,0\n0,0,7,0.1,0,0\n" + "0,0,0,0.1,0,0\n" * 5 + "\n", 3, "h = 7 is not one of"),
+        ("0,0,0,0.1,0,0\n0,0,x,0.1,0,0\n0,0,0,0.1,0,0\n# note\n", 3, "h = 'x' is not a number"),
+        ("0,0,0,0.1,0,0\n0,0,0,0.1,0\n# note\n", 3, "5 fields, expected 6"),
     ])
     def test_blank_and_comment_lines_are_rejected(self, tmp_path, monkeypatch, body, line, what):
         path = tmp_path / "log.csv"

@@ -1,12 +1,13 @@
 import math
-import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmqkd.adversary import (
+    STRATEGIES,
     STRATEGY_FIELDS,
     AttackConfig,
     intercept_resend_array,
@@ -15,15 +16,16 @@ from wmqkd.adversary import (
 )
 from wmqkd.bloch import ChannelModel, binary_entropy, true_error_rates
 from wmqkd.estimation import (
+    EstimationThresholds,
     INTENSITY_DECOY,
     INTENSITY_SIGNAL,
     INTENSITY_VACUUM,
     NO_CLICK,
-    EstimationError,
     SignalLog,
     build_report,
 )
 from wmqkd.harness import (
+    BLOCK_SIZE,
     ProtocolConfig,
     _estimated_key_rate,
     analytic_report,
@@ -268,12 +270,7 @@ class TestBlockPipelineEquivalence:
     def test_matches_whole_array_run(self, strategy, system):
         cfg = ProtocolConfig(n_signals=EQUIVALENCE_N, master_seed=101,
                              attack=EQUIVALENCE_ATTACKS[strategy], system=EQUIVALENCE_SYSTEMS[system])
-        try:
-            expected, expected_log = reference_run(cfg)
-        except EstimationError as exc:
-            with pytest.raises(EstimationError, match=re.escape(str(exc))):
-                run_protocol(cfg)
-            return
+        expected, expected_log = reference_run(cfg)
         result = run_protocol(cfg)
         kept = run_protocol(cfg, keep_log=True)
         for res in (result, kept):
@@ -325,13 +322,7 @@ class TestNoisyDevicePipelineEquivalence:
     def test_matches_whole_array_run(self, strategy, system):
         cfg = ProtocolConfig(n_signals=EQUIVALENCE_N, master_seed=101, attack=EQUIVALENCE_ATTACKS[strategy],
                              system=DARK_SYSTEMS[system], **NOISY_DEVICE)
-        try:
-            expected, expected_log = reference_run(cfg)
-        except EstimationError as exc:
-            for keep_log in (False, True):
-                with pytest.raises(EstimationError, match=re.escape(str(exc))):
-                    run_protocol(cfg, keep_log=keep_log)
-            return
+        expected, expected_log = reference_run(cfg)
         result = run_protocol(cfg)
         kept = run_protocol(cfg, keep_log=True)
         for res in (result, kept):
@@ -506,11 +497,59 @@ class TestAnalyticMode:
         assert all(aborted[first:])
         assert not any(aborted[:first])
 
-    def test_no_detections_is_an_estimation_error(self):
-        # no gain at all: the dark fraction Q_vac / Q_mu is undefined
-        cfg = ProtocolConfig(system=SystemParams(eta_d=0.0, y0=0.0))
-        with pytest.raises(EstimationError, match="Q_gamma must be positive"):
-            analytic_report(cfg)
+    def test_no_detections_is_no_dark_fraction(self):
+        # no gain at all: no click is dark, as at a vanishing gain without dark counts
+        zero = analytic_report(ProtocolConfig(system=SystemParams(eta_d=0.0, y0=0.0)))
+        tiny = analytic_report(ProtocolConfig(system=SystemParams(eta_d=1e-12, y0=0.0)))
+        assert zero.gains == (0.0, 0.0, 0.0) and tiny.gains[0] > 0.0
+        tiny.gains = zero.gains
+        assert zero.to_text() == tiny.to_text()
+        row, = sweep(ProtocolConfig(system=SystemParams(y0=0.0)), "system.eta_d", [0.0])
+        assert row["rate_wm_decoy"] == row["rate_bb84_decoy"] == 0.0
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid config: tiny to 3-block n, up to 200 km, no detections or no dark
+    counts, no decoy class, every strategy, and g = 0 under an explicit g_sec."""
+    zero = st.just(0.0)
+    p_decoy, p_vacuum = draw(zero | st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.3))
+    g = draw(st.floats(0.0, 0.5))
+    g_sec = draw(st.just(0.06) if g == 0.0 else st.sampled_from([None, 0.06]))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    attack = AttackConfig(strategy=strategy, p_basis=draw(st.floats(0.5, 1.0)),
+                          p_h=draw(st.floats(0.5, 1.0, exclude_min=True)),
+                          alpha=draw(st.floats(0.5, 1.5)), alpha_x=draw(st.floats(0.5, 1.5)),
+                          alpha_z=draw(st.floats(0.5, 1.5)), phi=draw(st.floats(-0.3, 0.3)),
+                          phi_prime=draw(st.floats(-0.3, 0.3)))
+    return ProtocolConfig(
+        n_signals=draw(st.integers(1, 3 * BLOCK_SIZE) | st.just(3 * BLOCK_SIZE)),
+        master_seed=draw(st.integers(0, 2**32)),
+        pointer=PointerConfig(g=g, sigma_md=1.0, sigma_phi=draw(st.floats(0.0, 0.3))),
+        channel=ChannelModel(depolarizing_prob=draw(st.floats(0.0, 0.2)),
+                             rotation_theta=draw(st.floats(-0.5, 0.5))),
+        attack=attack,
+        system=SystemParams(eta_d=draw(zero | st.floats(0.0, 1.0)), y0=draw(zero | st.floats(0.0, 1e-3)),
+                            distance_km=draw(st.floats(0.0, 200.0))),
+        intensity_probs=(1.0 - p_decoy - p_vacuum, p_decoy, p_vacuum),
+        thresholds=EstimationThresholds(g_sec=g_sec))
+
+
+class TestEveryConfigEndsInAReport:
+    """A degenerate estimate is an abort named by its failing check, never an exception."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(valid_configs())
+    def test_report_or_abort(self, cfg):
+        result = run_protocol(cfg)
+        for report in (result.report, analytic_report(cfg)):
+            deltas = (report.rates.delta_x, report.rates.delta_z, report.rates.delta_b, report.qber)
+            couplings_usable = all(math.isfinite(g) and g > 0 for g in (report.g_plus, report.g_minus))
+            if not (all(map(math.isfinite, deltas)) and couplings_usable):
+                assert report.abort
+        assert result.abort == result.report.abort
+        if result.abort:
+            assert result.key_rate == 0.0
 
 
 class TestSweep:
