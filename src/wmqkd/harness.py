@@ -9,9 +9,10 @@ signals only (every signal when the run keeps the full log).  Everything is
 deterministic given the master seed: every random stage draws from its own
 Philox stream keyed by (master_seed, stage tag) and partitioned into fixed
 2^16-signal counter blocks, always over the whole block, so what is kept never
-changes a value.  A run walks those blocks in order and takes each one through
-every stage before the next, so its memory is one block's temporaries plus
-the clicked records; the estimation subroutine then sees exactly the records
+changes a value.  A run takes each block through every stage on its own,
+the calling thread the even blocks and one helper thread the odd ones, so its
+memory is two blocks' temporaries plus the clicked records; the records are
+joined in block order, and the estimation subroutine sees exactly the records
 a whole-array run would keep, in the same order.
 
 The analytic mode bypasses sampling: conditioned cell statistics are computed
@@ -25,7 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
@@ -77,10 +81,9 @@ def stage_block_generator(master_seed: int, stage: str, block: int) -> np.random
     return np.random.Generator(bit_gen)
 
 
-def _block_plan(n: int):
-    """Yield (block, size) covering range(n) in fixed BLOCK_SIZE blocks."""
-    for block, lo in enumerate(range(0, n, BLOCK_SIZE)):
-        yield block, min(BLOCK_SIZE, n - lo)
+def _block_plan(n: int) -> list:
+    """(block, size) pairs covering range(n) in fixed BLOCK_SIZE blocks."""
+    return [(block, min(BLOCK_SIZE, n - lo)) for block, lo in enumerate(range(0, n, BLOCK_SIZE))]
 
 
 class _BlockStream:
@@ -106,6 +109,34 @@ class _BlockStream:
 
     def standard_normal(self, _shape=None) -> np.ndarray:
         return self.rng.standard_normal(self.size)[self.kept]
+
+
+_WORKERS = 2  # the caller plus one helper thread: numpy's generators and large ufuncs drop the GIL
+
+
+def _map_blocks(task, n: int) -> list:
+    """[task(block, size) for every block of range(n)], in block order.
+
+    Thread k of the w workers takes blocks k, k + w, ...; the caller is thread
+    0, so one worker (fewer than 2 usable CPUs) starts no thread.  A block
+    that raises stops the other thread at its next block.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    plan = _block_plan(n)
+    workers = max(1, min(_WORKERS, cpus, len(plan)))
+    failed = threading.Event()
+
+    def take(first):
+        try:
+            return [task(block, size) for block, size in plan[first::workers] if not failed.is_set()]
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(1) as helper:
+        futures = [helper.submit(take, first) for first in range(1, workers)]
+        shares = [take(0)] + [future.result() for future in futures]
+    return [shares[i % workers][i // workers] for i in range(len(plan))]
 
 
 def stage_uniform(master_seed: int, stage: str, n: int) -> np.ndarray:
@@ -202,17 +233,8 @@ def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, stream) -> np.ndar
 STAGES = ("source", "channel", "attack", "detection", "measurement", "estimation", "rates")
 
 
-def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
-    """Execute the protocol once; deterministic in cfg.master_seed.
-
-    Every stage runs on one BLOCK_SIZE block at a time, detection first and
-    the rest on the clicked signals only (every signal with keep_log); each
-    stream is still drawn over the whole block, so the outputs are the same
-    either way.  Only the per-class sent counts, the sifted-key tallies and
-    the clicked records outlive a block (every record with keep_log); the
-    estimation counts the clicks.
-    """
-    timings = dict.fromkeys(STAGES, 0.0)
+def _stopwatch(timings: dict):
+    """lap(stage) adds the time since the previous lap (or since this call) to timings[stage]."""
     tick = time.perf_counter()
 
     def lap(stage):
@@ -221,6 +243,20 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         timings[stage] += now - tick
         tick = now
 
+    return lap
+
+
+def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
+    """Execute the protocol once; deterministic in cfg.master_seed.
+
+    Every stage runs on one BLOCK_SIZE block at a time, detection first and
+    the rest on the clicked signals only (every signal with keep_log); each
+    stream is still drawn over the whole block, so the outputs are the same
+    either way.  Only the per-class sent counts, the sifted-key tallies and
+    the clicked records outlive a block (every record with keep_log); the
+    estimation counts the clicks.  Blocks run two at a time (`_map_blocks`),
+    so the stage timings sum both threads' time and can exceed the wall time.
+    """
     seed = cfg.master_seed
     thresholds = cfg.resolved_thresholds()
     attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
@@ -229,13 +265,14 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     # intensity only gates detection since multi-photon pulses are accounted
     # analytically by the decoy bounds
     p_photon_by_class = -np.expm1(-cfg.system.eta * np.array([cfg.decoy.mu, cfg.decoy.nu, 0.0]))
-    sent = np.zeros(3, dtype=np.int64)
-    key_len = errors = eve_agreements = 0
-    records = []
-    for block, size in _block_plan(cfg.n_signals):
+
+    def run_block(block, size):
+        """One block's records, per-class sent counts, sift tallies and stage timings."""
+        timings = dict.fromkeys(STAGES, 0.0)
+        lap = _stopwatch(timings)
         stream = partial(_BlockStream, seed, block=block, size=size)
         intensity = _block_intensities(stream("intensity").random(), cfg.intensity_probs)
-        sent += np.bincount(intensity, minlength=3)
+        sent = np.bincount(intensity, minlength=3)
         lap("source")
 
         # a window clicks by its intensity class alone, whatever the state, so
@@ -280,19 +317,20 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         s_b = np.where(clicked, s_b, np.int8(NO_CLICK))
         lap("measurement")
 
-        records.append((s_a, b, h, omega, s_b, intensity))
-
         # ground truth from the oracle's side of the fence
         sift = clicked & (b == 0)
-        key_len += int(np.count_nonzero(sift))
-        errors += int(np.count_nonzero(sift & (s_a != s_b)))
-        if eve_bits is not None:
-            eve_agreements += int(np.count_nonzero(sift & (eve_bits == s_b)))
+        tallies = (int(np.count_nonzero(sift)), int(np.count_nonzero(sift & (s_a != s_b))),
+                   int(np.count_nonzero(sift & (eve_bits == s_b))) if eve_bits is not None else 0)
         lap("rates")
+        return (s_a, b, h, omega, s_b, intensity), sent, tallies, timings
 
+    records, sent, tallies, block_timings = zip(*_map_blocks(run_block, cfg.n_signals))
+    timings = {stage: sum(t[stage] for t in block_timings) for stage in STAGES}
+    lap = _stopwatch(timings)
+    key_len, errors, eve_agreements = map(sum, zip(*tallies))
     log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
     del records  # the log holds copies
-    report = build_report(log, thresholds, sent=sent)
+    report = build_report(log, thresholds, sent=sum(sent))
     lap("estimation")
 
     gt_error = errors / key_len if key_len else 0.0
@@ -337,14 +375,14 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     estimation statistics from the detection model.  The source and Bob's
     measurement are run_protocol's, block for block.
     """
-    columns = []
-    for block, size in _block_plan(n):
+    def block_columns(block, size):
         stream = partial(_BlockStream, master_seed, block=block, size=size)
         s_a, b = stream("alice_bits").bits(), stream("alice_basis").bits()
         h = stream("bob_observable").bits()
-        omega, s_b = _bob_block(stream, channel.apply_array(*bb84_bloch(s_a, b)), h, np.zeros(size), pointer)
-        columns.append((s_a, b, h, omega, s_b))
-    s_a, b, h, omega, s_b = (np.concatenate(column) for column in zip(*columns))
+        r = channel.apply_array(*bb84_bloch(s_a, b))
+        return s_a, b, h, *_bob_block(stream, r, h, np.zeros(size), pointer)
+
+    s_a, b, h, omega, s_b = (np.concatenate(column) for column in zip(*_map_blocks(block_columns, n)))
     return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))
 
 

@@ -51,10 +51,11 @@ class PointerConfig:
     bias_phi: float = 0.0
 
     def __post_init__(self):
-        if not self.g >= 0:
-            raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if not self.sigma_md > 0:
-            raise ValueError(f"sigma_md must be > 0, got {self.sigma_md}")
+        # finite first: the weakness check below must not see an infinite ratio
+        if not 0 <= self.g < math.inf:
+            raise ValueError(f"coupling g must be finite and >= 0, got {self.g}")
+        if not 0 < self.sigma_md < math.inf:
+            raise ValueError(f"sigma_md must be finite and > 0, got {self.sigma_md}")
         if not self.sigma_phi >= 0:
             raise ValueError(f"sigma_phi must be >= 0, got {self.sigma_phi}")
         if self.weakness_ratio > WEAKNESS_WARN_RATIO:

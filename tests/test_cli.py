@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,11 +170,15 @@ class TestRunCommand:
     @pytest.mark.parametrize("section,key,value", NON_FINITE,
                              ids=[f"{s}-{k}" + ("" if v == "nan" else f"-{v}") for s, k, v in NON_FINITE])
     def test_nan_setting_is_usage_error(self, tmp_path, section, key, value):
-        # each passed its range check and ended in a report (exit 0 or 3) or exit 2
+        # each passed its range check and ended in a report (exit 0 or 3) or exit 2;
+        # g = inf also warned that the interaction was no longer weak before it failed
         cfg = write(tmp_path, "bad.ini", f"[run]\nn_signals = 100000\n\n[{section}]\n{key} = {value}\n")
         out = tmp_path / "out"
-        assert main(["--config", cfg, "--out", str(out), "run"]) == EXIT_USAGE
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--out", str(out), "run"]) == EXIT_USAGE
         assert not out.exists()
+        assert not [str(w.message) for w in caught]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)

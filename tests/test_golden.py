@@ -10,6 +10,7 @@ platform's libm may move the last digit of a report field.
 import hashlib
 from dataclasses import replace
 
+from wmqkd import harness
 from wmqkd.cli import main
 from wmqkd.config import parse_config_text
 from wmqkd.estimation import write_signal_log
@@ -105,8 +106,18 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
 
 
-def test_fixed_seed_outputs_match_pinned_digests(tmp_path):
+def check_pinned_digests(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(harness, "_WORKERS", workers)
     got = {name: digest(path) for name, path in produce_outputs(tmp_path).items()}
     assert sorted(got) == sorted(DIGESTS)
     differ = [name for name in DIGESTS if got[name] != DIGESTS[name]]
     assert not differ, f"outputs differ from their pinned digests: {', '.join(differ)}"
+
+
+def test_fixed_seed_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    # blocks on the caller plus one helper thread
+    check_pinned_digests(tmp_path, monkeypatch, workers=2)
+
+
+def test_one_worker_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    check_pinned_digests(tmp_path, monkeypatch, workers=1)

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wmqkd import harness
 from wmqkd.adversary import (
     STRATEGIES,
     STRATEGY_FIELDS,
@@ -74,7 +77,20 @@ class TestStreams:
         assert np.array_equal(serial, np.concatenate(pieces))
 
 
-class TestRunDeterminism:
+class TwoWorkers:
+    """Blocks run on the caller plus one helper thread.
+
+    A subclass that sets workers = 1 runs the same tests on the caller alone.
+    """
+
+    workers = 2
+
+    @pytest.fixture(autouse=True)
+    def _worker_count(self, monkeypatch):
+        monkeypatch.setattr(harness, "_WORKERS", self.workers)
+
+
+class TestRunDeterminism(TwoWorkers):
     def test_identical_seed_identical_result(self):
         cfg = small_cfg()
         r1 = run_protocol(cfg, keep_log=True)
@@ -88,6 +104,32 @@ class TestRunDeterminism:
         r1 = run_protocol(small_cfg(master_seed=1))
         r2 = run_protocol(small_cfg(master_seed=2))
         assert r1.qber != r2.qber
+
+
+class TestRunDeterminismOneWorker(TestRunDeterminism):
+    workers = 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the helper thread needs 2 usable CPUs")
+def test_helper_thread_exception_propagates(monkeypatch):
+    # with two workers the helper thread takes exactly the odd blocks
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    measure, caller_blocks = harness.measure_array, []
+
+    def fail_on_helper(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("odd block failed")
+        caller_blocks.append(len(args[0]))
+        return measure(*args)
+
+    monkeypatch.setattr(harness, "measure_array", fail_on_helper)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="odd block failed"):
+        run_protocol(small_cfg(n_signals=64 * BLOCK_SIZE))
+    assert threading.active_count() == threads
+    # the failure stopped the caller before the end of its 32 even blocks
+    assert len(caller_blocks) < 32
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +304,7 @@ EQUIVALENCE_ATTACKS = {
 EQUIVALENCE_SYSTEMS = {"lossless": ProtocolConfig().system, "lossy": SystemParams()}
 
 
-class TestBlockPipelineEquivalence:
+class TestBlockPipelineEquivalence(TwoWorkers):
     """The block loop reproduces the whole-array run bit for bit."""
 
     @pytest.mark.parametrize("system", sorted(EQUIVALENCE_SYSTEMS))
@@ -303,13 +345,17 @@ class TestBlockPipelineEquivalence:
         assert peak / n < 40.0
 
 
+class TestBlockPipelineEquivalenceOneWorker(TestBlockPipelineEquivalence):
+    workers = 1
+
+
 NOISY_DEVICE = dict(pointer=PointerConfig(0.05, 1.0, sigma_phi=0.02, bias_phi=0.01),
                     channel=ChannelModel(0.03, 0.1))
 # dark-heavy: dark counts are 63 % of the lossy and 12 % of the lossless signal-class clicks
 DARK_SYSTEMS = {"lossy": SystemParams(y0=0.05), "lossless": replace(ProtocolConfig().system, y0=0.05)}
 
 
-class TestNoisyDevicePipelineEquivalence:
+class TestNoisyDevicePipelineEquivalence(TwoWorkers):
     """Angle noise and dark-heavy blocks through the block loop, with and without the full log.
 
     The pointer's angle noise is its first draw on the bob_wm stream, and dark
@@ -331,6 +377,10 @@ class TestNoisyDevicePipelineEquivalence:
         for name in LOG_COLUMNS:
             got, want = getattr(kept.log, name), getattr(expected_log, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+class TestNoisyDevicePipelineEquivalenceOneWorker(TestNoisyDevicePipelineEquivalence):
+    workers = 1
 
 
 class TestHonestRun:
