@@ -252,7 +252,9 @@ def condition_and_average(log: SignalLog) -> list[ConditionedStats]:
     sums = np.bincount(code, weights=omega, minlength=24)
     with np.errstate(divide="ignore", invalid="ignore"):  # a class may have empty cells
         means = sums / counts
-        m2 = np.bincount(code, weights=(omega - means[code]) ** 2, minlength=24)
+        omega -= means[code]  # squared deviations in the gathered copy: one float64 less per record
+        omega *= omega
+        m2 = np.bincount(code, weights=omega, minlength=24)
         var = np.where(counts > 1, m2 / (counts - 1.0), np.nan)
     cells = (3, 2, 2, 2)  # class, bit, basis, observable
     return [ConditionedStats(m, v, n)

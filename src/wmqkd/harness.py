@@ -9,11 +9,11 @@ signals only (every signal when the run keeps the full log).  Everything is
 deterministic given the master seed: every random stage draws from its own
 Philox stream keyed by (master_seed, stage tag) and partitioned into fixed
 2^16-signal counter blocks, always over the whole block, so what is kept never
-changes a value.  A run takes each block through every stage on its own,
-the calling thread the even blocks and one helper thread the odd ones, so its
-memory is two blocks' temporaries plus the clicked records; the records are
-joined in block order, and the estimation subroutine sees exactly the records
-a whole-array run would keep, in the same order.
+changes a value.  A run takes each block through every stage on its own, on
+a thread pool of two, so its memory is two blocks' temporaries plus the
+clicked records; the pool returns the records in block order, and the
+estimation subroutine sees exactly the records a whole-array run would keep,
+in the same order.
 
 The analytic mode bypasses sampling: conditioned cell statistics are computed
 in closed form (for an honest device the reading in any cell is the two-branch
@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -111,32 +110,18 @@ class _BlockStream:
         return self.rng.standard_normal(self.size)[self.kept]
 
 
-_WORKERS = 2  # the caller plus one helper thread: numpy's generators and large ufuncs drop the GIL
+_WORKERS = 2  # blocks in flight at once: numpy's generators and large ufuncs drop the GIL
 
 
 def _map_blocks(task, n: int) -> list:
     """[task(block, size) for every block of range(n)], in block order.
 
-    Thread k of the w workers takes blocks k, k + w, ...; the caller is thread
-    0, so one worker (fewer than 2 usable CPUs) starts no thread.  A block
-    that raises stops the other thread at its next block.
+    The blocks run on a pool of at most _WORKERS threads (fewer when fewer
+    CPUs are usable); a block that raises cancels the blocks not yet started.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    plan = _block_plan(n)
-    workers = max(1, min(_WORKERS, cpus, len(plan)))
-    failed = threading.Event()
-
-    def take(first):
-        try:
-            return [task(block, size) for block, size in plan[first::workers] if not failed.is_set()]
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(1) as helper:
-        futures = [helper.submit(take, first) for first in range(1, workers)]
-        shares = [take(0)] + [future.result() for future in futures]
-    return [shares[i % workers][i // workers] for i in range(len(plan))]
+    with ThreadPoolExecutor(max(1, min(_WORKERS, cpus))) as pool:
+        return list(pool.map(lambda entry: task(*entry), _block_plan(n)))
 
 
 def stage_uniform(master_seed: int, stage: str, n: int) -> np.ndarray:
@@ -254,8 +239,9 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     stream is still drawn over the whole block, so the outputs are the same
     either way.  Only the per-class sent counts, the sifted-key tallies and
     the clicked records outlive a block (every record with keep_log); the
-    estimation counts the clicks.  Blocks run two at a time (`_map_blocks`),
-    so the stage timings sum both threads' time and can exceed the wall time.
+    estimation counts the clicks.  Blocks run two at a time on a thread pool
+    (`_map_blocks`), so the stage timings sum both threads' time and can
+    exceed the wall time.
     """
     seed = cfg.master_seed
     thresholds = cfg.resolved_thresholds()

@@ -100,6 +100,13 @@ class TestConfigParsing:
         library = sweep(ProtocolConfig(), "pointer.g_over_sigma", values)
         assert cli_abort == [row["abort"] for row in library]
 
+    def test_readme_sweep_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        line = next(line for line in readme.splitlines() if line.startswith("- `wmqkd sweep "))
+        args = line.split("`")[1].split(" [")[0].split()[1:]  # the command up to its optional flags
+        assert main(["--out", str(tmp_path), *args]) == EXIT_OK
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
+
     def test_explicit_g_sec_survives_g_sweep(self):
         cfg = parse_config_text("[thresholds]\ng_sec = 0.07\n")
         for value in (0.05, 0.1, 0.2):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ class TestConditioning:
         assert vacuum.count.sum() <= 3
         assert np.array_equal(np.isnan(vacuum.mean), vacuum.count == 0)
         assert np.array_equal(np.isnan(vacuum.var), vacuum.count < 2)
+
+    def test_clicked_log_peak_memory(self):
+        # the records are 11 B each; the gathered readings (8 B) double as the
+        # squared deviations, so the peak stays under three float64 per record
+        n = 1 << 18
+        log = make_log(n=n, seed=7)  # every record clicked
+        omega = log.omega.copy()
+        tracemalloc.start()
+        try:
+            condition_and_average(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 24.0
+        assert log.omega.tobytes() == omega.tobytes()
 
     def test_permutation_invariance(self):
         log = make_log(seed=3)

@@ -1,6 +1,8 @@
+import itertools
 import math
 import os
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -110,26 +112,44 @@ class TestRunDeterminismOneWorker(TestRunDeterminism):
     workers = 1
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="the helper thread needs 2 usable CPUs")
-def test_helper_thread_exception_propagates(monkeypatch):
-    # with two workers the helper thread takes exactly the odd blocks
-    monkeypatch.setattr(harness, "_WORKERS", 2)
-    measure, caller_blocks = harness.measure_array, []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_exception_propagates_and_cancels_pending_blocks(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_WORKERS", workers)
+    measure, calls = harness.measure_array, itertools.count(1)
+    measured = []
 
-    def fail_on_helper(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("odd block failed")
-        caller_blocks.append(len(args[0]))
+    def fail_on_third_call(*args):
+        # whichever thread makes the call; next() on a count is atomic
+        if next(calls) == 3:
+            raise RuntimeError("block failed")
+        measured.append(len(args[0]))
         return measure(*args)
 
-    monkeypatch.setattr(harness, "measure_array", fail_on_helper)
+    monkeypatch.setattr(harness, "measure_array", fail_on_third_call)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="odd block failed"):
+    with pytest.raises(RuntimeError, match="block failed"):
         run_protocol(small_cfg(n_signals=64 * BLOCK_SIZE))
     assert threading.active_count() == threads
-    # the failure stopped the caller before the end of its 32 even blocks
-    assert len(caller_blocks) < 32
+    # of the 63 other blocks, those not yet started when the failure surfaced never ran
+    assert len(measured) < 63
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_blocks_returns_block_order(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_WORKERS", workers)
+    finished = []
+
+    def task(block, size):
+        if block == 0:
+            time.sleep(0.1)  # with a second thread, the later blocks finish first
+        finished.append(block)
+        return block, size
+
+    n = 3 * BLOCK_SIZE + 5
+    assert harness._map_blocks(task, n) == [(0, BLOCK_SIZE), (1, BLOCK_SIZE), (2, BLOCK_SIZE), (3, 5)]
+    assert sorted(finished) == [0, 1, 2, 3]
+    if workers == 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        assert finished[-1] == 0
 
 
 # ---------------------------------------------------------------------------
