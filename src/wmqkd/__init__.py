@@ -31,11 +31,7 @@ from .keyrate import (
     split_rate,
     transmittance,
 )
-from .pointer import (
-    PointerConfig,
-    dephased_state,
-    wm_disturbance_error,
-)
+from .pointer import PointerConfig, wm_disturbance_error
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -85,23 +85,6 @@ class AttackConfig:
             if self.alpha_x is None or self.alpha_z is None:
                 raise ValueError("fake_wm_strategy2 requires alpha_x and alpha_z")
 
-    @classmethod
-    def strategy2(cls, p_basis: float, p_h: float, sigma_ratio: float = 1.0,
-                  alpha_x: float | None = None, alpha_z: float | None = None,
-                  **kwargs) -> "AttackConfig":
-        """Strategy-2 config with the variance-cap-saturating default amplifications.
-
-        Delivered cell variances equal (alpha sigma_md)^2, so alpha = sigma_ratio
-        saturates the sigma_sec bound exactly and achieves the attack's QBER
-        lower bound with equality.
-        """
-        if alpha_x is None:
-            alpha_x = sigma_ratio
-        if alpha_z is None:
-            alpha_z = sigma_ratio
-        return cls(strategy="fake_wm_strategy2", p_basis=p_basis, p_h=p_h,
-                   alpha_x=alpha_x, alpha_z=alpha_z, **kwargs)
-
     def with_device_defaults(self, g: float, sigma_md: float) -> "AttackConfig":
         """Fill g_eve / sigma_eve with Bob's device values (Eve mimics the device)."""
         out = self

@@ -57,13 +57,6 @@ class ChannelModel:
         if not 0.0 <= self.depolarizing_prob <= 1.0:
             raise ValueError(f"depolarizing_prob must be in [0,1], got {self.depolarizing_prob}")
 
-    @classmethod
-    def from_intrinsic_error(cls, e_d: float, depolarizing_prob: float = 0.0) -> "ChannelModel":
-        """Source rotation reproducing intrinsic error rate e_d on both bases."""
-        if not 0.0 <= e_d <= 0.5:
-            raise ValueError(f"e_d must be in [0, 0.5], got {e_d}")
-        return cls(depolarizing_prob, math.acos(1.0 - 2.0 * e_d))
-
     def apply_array(self, r_x, r_y, r_z):
         """Vectorised channel action on component arrays."""
         c, s = math.cos(self.rotation_theta), math.sin(self.rotation_theta)

@@ -436,8 +436,11 @@ class EstimationThresholds:
             raise ValueError("g_sec and sigma_sec_sq must be positive")
         if not 0.0 < self.variance_equality_significance < 1.0:
             raise ValueError("variance_equality_significance must be in (0, 1)")
-        if not math.isfinite(self.nonneg_z):
-            raise ValueError(f"nonneg_z must be finite, got {self.nonneg_z}")
+        # a negative slack would make an honest run beat its own standard error
+        if not 0.0 <= self.nonneg_z < math.inf:
+            raise ValueError(f"nonneg_z must be finite and >= 0, got {self.nonneg_z}")
+        if not self.sigma_phi_upper >= 0:
+            raise ValueError(f"sigma_phi_upper must be >= 0, got {self.sigma_phi_upper}")
 
     def with_device_defaults(self, g: float, sigma_md: float) -> "EstimationThresholds":
         """Fill g_sec / sigma_sec_sq left None from the device's g and sigma_md."""
@@ -448,10 +451,6 @@ class EstimationThresholds:
             self,
             g_sec=1.2 * g if self.g_sec is None else self.g_sec,
             sigma_sec_sq=(1.1 * sigma_md) ** 2 if self.sigma_sec_sq is None else self.sigma_sec_sq)
-
-    @classmethod
-    def for_device(cls, g: float, sigma_md: float, **kwargs) -> "EstimationThresholds":
-        return cls(**kwargs).with_device_defaults(g, sigma_md)
 
 
 CHECK_NAMES = ("errors_nonnegative", "couplings_bounded", "variances_bounded", "variances_equal")

@@ -70,12 +70,22 @@ BLOCK_SIZE = 1 << 16
 # ---------------------------------------------------------------------------
 
 def _stage_tag(stage: str) -> int:
-    return int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8).digest(), "little")
+    """A 64-bit digest of the stage name.
+
+    A digest of 2^63 or more is rounded to a double, as numpy read the (seed,
+    tag) key tuples the streams were first drawn with.
+    """
+    tag = int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8).digest(), "little")
+    return tag if tag < 2**63 else int(float(tag))
 
 
 def stage_block_generator(master_seed: int, stage: str, block: int) -> np.random.Generator:
-    """Philox stream for one (stage, block); blocks own disjoint counter ranges."""
-    key = (master_seed & (2**64 - 1), _stage_tag(stage))
+    """Philox stream for one (stage, block); blocks own disjoint counter ranges.
+
+    The key is (master_seed, stage tag) as exact 64-bit words: a seed outside
+    [0, 2^64) raises.
+    """
+    key = np.array([master_seed, _stage_tag(stage)], dtype=np.uint64)
     bit_gen = np.random.Philox(key=key, counter=[0, 0, block, 0])
     return np.random.Generator(bit_gen)
 
@@ -124,11 +134,6 @@ def _map_blocks(task, n: int) -> list:
         return list(pool.map(lambda entry: task(*entry), _block_plan(n)))
 
 
-def stage_uniform(master_seed: int, stage: str, n: int) -> np.ndarray:
-    return np.concatenate([_BlockStream(master_seed, stage, block, size).random()
-                           for block, size in _block_plan(n)])
-
-
 # ---------------------------------------------------------------------------
 # configuration and result records
 # ---------------------------------------------------------------------------
@@ -150,6 +155,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_signals < 1:
             raise ValueError("n_signals must be >= 1")
+        # the seed is one 64-bit word of every stream's Philox key
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if len(self.intensity_probs) != 3 or any(not p >= 0 for p in self.intensity_probs):
             raise ValueError("intensity_probs must be three nonnegative numbers")
         if not abs(sum(self.intensity_probs) - 1.0) <= 1e-9:
@@ -488,37 +496,35 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
     return rows
 
 
-def fig3_dataset(g_over_sigma=None, channel_errors=(0.0, 0.02, 0.05, 0.08)):
+def fig3_dataset():
     """Key-rate reduction vs coupling strength at several depolarizing levels.
 
     Rate is the idealized max(1 - 2 H2(QBER), 0) with QBER = channel error +
-    delta_wm(g/sigma).
+    delta_wm(g/sigma), for g/sigma = 0, 0.01, ..., 0.5 and channel errors 0,
+    2, 5 and 8 %.
     """
-    if g_over_sigma is None:
-        g_over_sigma = np.arange(0.0, 0.5 + 1e-12, 0.01)
     header = ["g_over_sigma", "channel_error", "rate"]
     rows = []
-    for e in channel_errors:
-        for gs in g_over_sigma:
+    for e in (0.0, 0.02, 0.05, 0.08):
+        for gs in np.arange(0.0, 0.5 + 1e-12, 0.01):
             qber = e + wm_disturbance_error(gs, 1.0)
             rows.append([float(gs), float(e), smoothed_rate(qber)])
     return header, rows
 
 
-def fig5_dataset(phis=None, qbers=(0.08, 0.11)):
+def fig5_dataset():
     """Calculated rates vs uniform observable bias for depolarizing channels.
 
     Emits the split variant 1 - H2(dX~) - H2(dZ~) and the smoothed variant
-    1 - 2 H2(db~); rows are limited to biases keeping both estimates
-    nonnegative, as the protocol enforces.
+    1 - 2 H2(db~) at QBER 8 and 11 % for phi = -0.5, -0.495, ..., 0.5; rows
+    are limited to biases keeping both estimates nonnegative, as the protocol
+    enforces.
     """
-    if phis is None:
-        phis = np.arange(-0.5, 0.5 + 1e-12, 0.005)
     header = ["qber", "phi", "rate_split", "rate_smoothed"]
     rows = []
-    for qber in qbers:
+    for qber in (0.08, 0.11):
         r = 1.0 - 2.0 * qber
-        for phi in phis:
+        for phi in np.arange(-0.5, 0.5 + 1e-12, 0.005):
             dx, dz = adv.biased_estimates(r, r, float(phi))
             if dx < 0.0 or dz < 0.0:
                 continue
@@ -531,22 +537,17 @@ def fig5_dataset(phis=None, qbers=(0.08, 0.11)):
     return header, rows
 
 
-def fig6_dataset(distances=None, params: SystemParams | None = None,
-                 cfg: DecoyConfig | None = None, g_over_sigma: float = 0.05):
-    """WM vs BB84 decoy rates over distance at the reference system parameters."""
-    if distances is None:
-        distances = np.arange(0.0, 121.0, 1.0)
-    if params is None:
-        params = SystemParams()
-    if cfg is None:
-        cfg = DecoyConfig()
-    delta_wm = wm_disturbance_error(g_over_sigma, 1.0)
+def fig6_dataset():
+    """WM vs BB84 decoy rates over distance at the reference system parameters.
+
+    The WM chain is at g/sigma = 0.05; distances are 0, 1, ..., 120 km.
+    """
+    decoy, delta_wm = DecoyConfig(), wm_disturbance_error(0.05, 1.0)
     header = ["distance_km", "rate_wm", "rate_bb84"]
     rows = []
-    for d in distances:
-        p = replace(params, distance_km=float(d))
-        rows.append([float(d), wm_decoy_chain(p, cfg, delta_wm).rate,
-                     bb84_decoy_chain(p, cfg).rate])
+    for d in np.arange(0.0, 121.0, 1.0):
+        p = SystemParams(distance_km=float(d))
+        rows.append([float(d), wm_decoy_chain(p, decoy, delta_wm).rate, bb84_decoy_chain(p, decoy).rate])
     return header, rows
 
 

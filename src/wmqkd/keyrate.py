@@ -90,11 +90,6 @@ def honest_gains(params: SystemParams, cfg: DecoyConfig) -> tuple[float, float, 
             transmittance(params, 0.0))
 
 
-def single_photon_gain(params: SystemParams, cfg: DecoyConfig) -> float:
-    """Exact Poissonian single-photon gain mu e^-mu (Y0 + eta): the Q_1^L ceiling."""
-    return cfg.mu * math.exp(-cfg.mu) * (params.y0 + params.eta)
-
-
 def q1_lower(q_mu: float, q_nu: float, q_vac: float, cfg: DecoyConfig) -> float:
     """Decoy lower bound on the single-photon gain, clamped below at 0."""
     bracket = (q_nu * math.exp(cfg.nu)
@@ -174,17 +169,3 @@ def wm_decoy_chain(params: SystemParams, cfg: DecoyConfig, delta_wm: float) -> D
 def bb84_decoy_chain(params: SystemParams, cfg: DecoyConfig) -> DecoyRateBreakdown:
     """BB84 chain: the weak-measurement chain with no back-action."""
     return wm_decoy_chain(params, cfg, 0.0)
-
-
-def optimize_intensities(params: SystemParams, mu_grid, nu_grid, delta_wm: float = 0.0):
-    """Plain grid search over (mu, nu) maximizing the chain rate."""
-    best = (0.0, None)
-    for mu in mu_grid:
-        for nu in nu_grid:
-            if not 0.0 < nu < mu:
-                continue
-            cfg = DecoyConfig(mu=mu, nu=nu)
-            rate = wm_decoy_chain(params, cfg, delta_wm).rate
-            if rate > best[0]:
-                best = (rate, cfg)
-    return best

@@ -17,7 +17,7 @@ dephasing map with factor e^{-g^2/8 sigma^2}.
 States are Bloch components (x, y, z), one array each, as ``wmqkd.bloch``
 holds them, and observables are given by their family sign and total axis
 angle (``wmqkd.bloch.projector_axis``): ``measure_array`` samples readings and
-posteriors for a batch, and ``dephased_state`` is the reading-averaged map.
+posteriors for a batch.
 
 Readings are in physical units: Var[omega] = sigma_md^2 plus the binomial
 branch term g^2 <P>(1-<P>), and every variance in the package uses them.
@@ -68,11 +68,6 @@ class PointerConfig:
     @property
     def weakness_ratio(self) -> float:
         return self.g / self.sigma_md
-
-
-def dephasing_factor(g: float, sigma: float) -> float:
-    """Coherence survival e^{-g^2 / 8 sigma^2} of one weak measurement."""
-    return math.exp(-(g * g) / (8.0 * sigma * sigma))
 
 
 def wm_disturbance_error(g: float, sigma: float) -> float:
@@ -130,18 +125,3 @@ def measure_array(r_x, r_y, r_z, sign, angle, cfg: PointerConfig, rng):
     return omega, (out_n * axis_x + overlap * (r_x - rn * axis_x),
                    overlap * r_y,
                    out_n * axis_z + overlap * (r_z - rn * axis_z))
-
-
-def dephased_state(r_x, r_y, r_z, sign, angle, cfg: PointerConfig):
-    """Pointer-averaged post-measurement (x, y, z) of H(sign) at total axis angles `angle`.
-
-    The component along the projector axis is preserved; the perpendicular
-    part (all of y) shrinks by e^{-g^2/8 sigma^2}.  Unlike `measure_array`, no
-    device bias_phi or angle noise is added.
-    """
-    f = dephasing_factor(cfg.g, cfg.sigma_md)
-    axis_x, axis_z = projector_axis(sign, angle)
-    rn = r_x * axis_x + r_z * axis_z
-    return (rn * axis_x + f * (r_x - rn * axis_x),
-            f * r_y,
-            rn * axis_z + f * (r_z - rn * axis_z))

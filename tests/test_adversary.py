@@ -58,11 +58,6 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             AttackConfig(strategy="nonsense")
 
-    def test_strategy2_builder_defaults(self):
-        cfg = AttackConfig.strategy2(p_basis=0.7, p_h=0.9, sigma_ratio=1.1)
-        assert cfg.alpha_x == pytest.approx(1.1)
-        assert cfg.alpha_z == pytest.approx(1.1)
-
     def test_device_defaults(self):
         cfg = AttackConfig(strategy="intercept_resend", p_basis=0.8)
         filled = cfg.with_device_defaults(0.05, 1.0)
@@ -151,7 +146,7 @@ class TestStrategyFormulas:
         assert strategy2_qber_lower_bound(0.7, 0.5, ratio) == pytest.approx(0.11, abs=1e-12)
 
     def test_strategy2_cell_laws_select_alpha_by_basis(self):
-        attack = AttackConfig.strategy2(p_basis=0.9, p_h=0.9, alpha_x=2.0, alpha_z=3.0)
+        attack = AttackConfig(strategy="fake_wm_strategy2", p_basis=0.9, p_h=0.9, alpha_x=2.0, alpha_z=3.0)
         mean, var = strategy_fake_cell_laws(attack, 0.05, 1.0)
         assert var[:, 0, :] == pytest.approx(9.0)
         assert var[:, 1, :] == pytest.approx(4.0)

@@ -132,7 +132,8 @@ class TestChannel:
         assert np.linalg.norm(out) <= np.linalg.norm(state) + 1e-12
 
     def test_intrinsic_error_mapping(self):
-        chan = ChannelModel.from_intrinsic_error(0.015)
+        # a source rotation by acos(1 - 2 e_d) gives intrinsic error e_d on both bases
+        chan = ChannelModel(rotation_theta=math.acos(1.0 - 2.0 * 0.015))
         dx, dz = true_error_rates(chan)
         assert dx == pytest.approx(0.015, abs=1e-12)
         assert dz == pytest.approx(0.015, abs=1e-12)

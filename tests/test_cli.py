@@ -9,7 +9,7 @@ from wmqkd.config import ConfigError, DEFAULT_CONFIG, parse_config_text
 from wmqkd.estimation import CHECK_NAMES, write_signal_log
 from wmqkd.harness import ProtocolConfig, channel_estimation_log, run_protocol, set_config_axis, sweep
 from wmqkd.bloch import ChannelModel
-from wmqkd.pointer import PointerConfig
+from wmqkd.pointer import PointerConfig, wm_disturbance_error
 
 QUICK = """
 [run]
@@ -107,6 +107,18 @@ class TestConfigParsing:
         assert main(["--out", str(tmp_path), *args]) == EXIT_OK
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
 
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(code, namespace)
+        honest, attacked = namespace["honest"], namespace["attacked"]
+        pointer = ProtocolConfig().pointer
+        delta_wm = wm_disturbance_error(pointer.g, pointer.sigma_md)
+        assert abs(honest.qber - delta_wm) <= 3 * honest.report.delta_b_se
+        assert not honest.abort
+        assert attacked.abort
+
     def test_explicit_g_sec_survives_g_sweep(self):
         cfg = parse_config_text("[thresholds]\ng_sec = 0.07\n")
         for value in (0.05, 0.1, 0.2):
@@ -195,6 +207,21 @@ class TestRunCommand:
         a = (tmp_path / "a" / "run_summary.csv").read_text()
         b = (tmp_path / "b" / "run_summary.csv").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_u64_is_usage_error(self, tmp_path, capsys, seed):
+        # the Philox key holds 64 bits: both seeds used to run as a seed inside the range
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", seed, "run"]) == EXIT_USAGE
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_nonneg_z_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.ini", QUICK + "[thresholds]\nnonneg_z = -1\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == EXIT_USAGE
+        assert "nonneg_z" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_invocation_byte_identical(self, tmp_path):
         cfg = write(tmp_path, "run.ini", QUICK)

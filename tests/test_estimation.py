@@ -39,6 +39,7 @@ from wmqkd.harness import ProtocolConfig, analytic_report, channel_estimation_lo
 from wmqkd.pointer import PointerConfig
 
 G = 0.05
+THRESHOLDS = EstimationThresholds().with_device_defaults(G, 1.0)
 EXPECT_PLUS_0 = 0.5 + 1 / (2 * math.sqrt(2))
 
 
@@ -75,7 +76,7 @@ class TestConditioning:
         log = SignalLog(np.zeros(n), np.zeros(n), np.zeros(n),
                         np.arange(n) % 2, np.zeros(n), np.zeros(n))
         # 7 empty cells: their NaN moments fail every check they reach, and the run aborts
-        report = build_report(log, EstimationThresholds.for_device(G, 1.0))
+        report = build_report(log, THRESHOLDS)
         assert [name for name, ok in report.verdicts.as_dict().items() if not ok] == [
             "errors_nonnegative", "couplings_bounded", "variances_bounded", "variances_equal"]
         assert report.abort and math.isnan(report.g_plus) and math.isnan(report.qber)
@@ -206,7 +207,7 @@ class TestCouplings:
     def test_all_dark_class_fails_couplings_bounded(self):
         # Q_vac = Q_mu: every click is dark and the couplings cannot be recovered
         stats = exact_channel_stats(ChannelModel())
-        report = report_from_stats(stats, EstimationThresholds.for_device(G, 1.0), (0.1, 0.05, 0.1))
+        report = report_from_stats(stats, THRESHOLDS, (0.1, 0.05, 0.1))
         assert report.dark_fraction_signal == 1.0
         assert not report.verdicts.couplings_bounded and report.abort
 
@@ -266,7 +267,7 @@ class TestErrorRates:
         # the nonnegativity check: only the coupling check stops them
         stats = exact_channel_stats(ChannelModel())
         stats = ConditionedStats(sign * stats.mean, stats.var, stats.count)
-        report = report_from_stats(stats, EstimationThresholds.for_device(G, 1.0), (0.1, 0.05, 0.0))
+        report = report_from_stats(stats, THRESHOLDS, (0.1, 0.05, 0.0))
         assert report.g_plus == pytest.approx(sign * G, abs=1e-15)
         assert not report.verdicts.couplings_bounded and report.abort
         assert report.verdicts.errors_nonnegative == (sign < 0)
@@ -299,7 +300,7 @@ class TestDarkCounts:
 class TestVerification:
     def honest_report(self, n=400_000, seed=11, channel=None):
         log = channel_estimation_log(channel or ChannelModel(), PointerConfig(G, 1.0), n, seed)
-        return build_report(log, EstimationThresholds.for_device(G, 1.0))
+        return build_report(log, THRESHOLDS)
 
     def test_honest_run_passes(self):
         report = self.honest_report()
@@ -313,7 +314,7 @@ class TestVerification:
         mean[:, 1, :] = mean[::-1, 1, :]  # swap the X-basis bits: r_x^+ -> -1
         report = report_from_stats(
             exact_stats(mean, stats.var),
-            EstimationThresholds.for_device(G, 1.0),
+            THRESHOLDS,
             (1.0, 0.0, 0.0),
         )
         assert report.rates.delta_x > 0.5  # mirrored contrast
@@ -321,7 +322,7 @@ class TestVerification:
         mean2[0, 1, 0] = mean2[1, 1, 0]  # kill the H+ X contrast asymmetrically
         report2 = report_from_stats(
             exact_stats(mean2, stats.var),
-            EstimationThresholds.for_device(G, 1.0),
+            THRESHOLDS,
             (1.0, 0.0, 0.0),
         )
         assert not report2.verdicts.errors_nonnegative or report2.rates.delta_x >= 0
@@ -343,7 +344,7 @@ class TestVerification:
         stats = exact_channel_stats(ChannelModel())
         report = report_from_stats(
             exact_stats(stats.mean * 1.5, stats.var),
-            EstimationThresholds.for_device(G, 1.0),
+            THRESHOLDS,
             (1.0, 0.0, 0.0),
         )
         assert not report.verdicts.couplings_bounded
@@ -353,7 +354,7 @@ class TestVerification:
         stats = exact_channel_stats(ChannelModel())
         report = report_from_stats(
             exact_stats(stats.mean, stats.var * 1.4),
-            EstimationThresholds.for_device(G, 1.0),
+            THRESHOLDS,
             (1.0, 0.0, 0.0),
         )
         assert not report.verdicts.variances_bounded
@@ -375,7 +376,7 @@ class TestVerification:
         # the NaN sits outside the first cell, so its p-values are not the first
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 100_000, 12)
         log.omega[np.flatnonzero((log.s_a == 1) & (log.b == 1) & (log.h == 1))[0]] = np.nan
-        report = build_report(log, EstimationThresholds.for_device(G, 1.0))
+        report = build_report(log, THRESHOLDS)
         assert not report.verdicts.variances_equal
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -391,8 +392,7 @@ class TestVerification:
             moments = {"mean": stats.mean.copy(), "var": stats.var.copy()}
             moments[field][1, 1, 1] = np.nan
             report = report_from_stats(ConditionedStats(moments["mean"], moments["var"], stats.count),
-                                       EstimationThresholds.for_device(G, 1.0),
-                                       (1.0, 0.0, 0.0))
+                                       THRESHOLDS, (1.0, 0.0, 0.0))
             assert not any(getattr(report.verdicts, check) for check in checks), field
             assert report.abort
 
@@ -409,6 +409,14 @@ class TestVerification:
         # z * se must be 0 on exact statistics, whose standard errors are 0
         with pytest.raises(ValueError, match="nonneg_z must be finite"):
             EstimationThresholds(nonneg_z=z)
+
+    @pytest.mark.parametrize("field", ["nonneg_z", "sigma_phi_upper"])
+    def test_negative_slack_rejected(self, field):
+        # a negative nonneg_z turns the slack around: an honest run would have
+        # to beat its own standard error to pass
+        EstimationThresholds(**{field: 0.0})
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            EstimationThresholds(**{field: -0.5})
 
     def test_unresolved_device_thresholds_rejected(self):
         stats = exact_channel_stats(ChannelModel())
@@ -612,7 +620,7 @@ class TestSignalLogIO:
 class TestReportText:
     def test_flat_key_value(self):
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 100_000, 50)
-        report = build_report(log, EstimationThresholds.for_device(G, 1.0))
+        report = build_report(log, THRESHOLDS)
         text = report.to_text()
         assert "qber = " in text
         assert "verdict.errors_nonnegative = pass" in text

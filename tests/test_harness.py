@@ -4,6 +4,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,12 +43,17 @@ from wmqkd.harness import (
     run_protocol,
     set_config_axis,
     stage_block_generator,
-    stage_uniform,
     sweep,
     write_csv,
 )
 from wmqkd.keyrate import SystemParams
 from wmqkd.pointer import PointerConfig, wm_disturbance_error
+
+
+def stage_uniform(master_seed, stage, n):
+    """One stage's uniforms for signals 0..n-1: each block's stream drawn in full, in block order."""
+    return np.concatenate([stage_block_generator(master_seed, stage, block).random(min(BLOCK_SIZE, n - lo))
+                           for block, lo in enumerate(range(0, n, BLOCK_SIZE))])
 
 
 def small_cfg(**kwargs):
@@ -67,16 +73,34 @@ class TestStreams:
         assert not np.array_equal(a, d)
 
     def test_partition_independence(self):
-        # workers owning whole blocks reproduce the serial stream exactly
+        # the run's block streams, whole or at kept positions, reproduce the serial stream
         n = 150_000
         serial = stage_uniform(9, "detection", n)
-        pieces = []
-        for block in range(0, math.ceil(n / (1 << 16))):
-            lo = block * (1 << 16)
-            hi = min(lo + (1 << 16), n)
-            gen = stage_block_generator(9, "detection", block)
-            pieces.append(gen.random(hi - lo))
-        assert np.array_equal(serial, np.concatenate(pieces))
+        lo = 0
+        for block, size in harness._block_plan(n):
+            piece = serial[lo:lo + size]
+            assert np.array_equal(harness._BlockStream(9, "detection", block, size).random(), piece)
+            kept = np.flatnonzero(piece < 0.3)
+            assert np.array_equal(harness._BlockStream(9, "detection", block, size, kept).random(), piece[kept])
+            lo += size
+        assert lo == n
+
+    @pytest.mark.parametrize("stage", ["detection", "alice_bits"])
+    def test_every_u64_seed_keys_its_own_stream(self, stage):
+        # numpy reads a (seed, tag) tuple that holds a word >= 2^63 as float64:
+        # that rounded seeds above 2^53 together and cast 2^64 - 1 out of range
+        seeds = (0, 2**53, 2**53 + 1, 2**63, 2**64 - 2049, 2**64 - 1025, 2**64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {stage_uniform(seed, stage, 8).tobytes() for seed in seeds}
+        assert len(draws) == len(seeds)
+
+    def test_master_seed_outside_u64_is_rejected(self):
+        ProtocolConfig(master_seed=0)
+        ProtocolConfig(master_seed=2**64 - 1)
+        for seed in (-1, 2**64, 5 + 2**64, 5 - 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                ProtocolConfig(master_seed=seed)
 
 
 class TwoWorkers:
@@ -319,7 +343,8 @@ EQUIVALENCE_ATTACKS = {
     "intercept_resend": AttackConfig(strategy="intercept_resend", p_basis=0.5),
     "biased_observables": AttackConfig(strategy="biased_observables", p_h=0.8, phi=0.1, phi_prime=-0.05),
     "fake_wm_strategy1": AttackConfig(strategy="fake_wm_strategy1", p_h=0.9, alpha=1.0),
-    "fake_wm_strategy2": AttackConfig.strategy2(p_basis=0.9, p_h=0.9),
+    "fake_wm_strategy2": AttackConfig(strategy="fake_wm_strategy2", p_basis=0.9, p_h=0.9,
+                                      alpha_x=1.0, alpha_z=1.0),
 }
 EQUIVALENCE_SYSTEMS = {"lossless": ProtocolConfig().system, "lossy": SystemParams()}
 
@@ -494,11 +519,10 @@ class TestAttackRuns:
         eve_amp = 0.97 * sigma_ratio
         cfg = small_cfg(
             n_signals=800_000,
-            attack=AttackConfig.strategy2(p_basis=0.9, p_h=0.9,
-                                          alpha_x=eve_amp, alpha_z=eve_amp),
+            attack=AttackConfig(strategy="fake_wm_strategy2", p_basis=0.9, p_h=0.9,
+                                alpha_x=eve_amp, alpha_z=eve_amp),
             intensity_probs=(1.0, 0.0, 0.0),
-            thresholds=EstimationThresholds.for_device(
-                0.05, 1.0, sigma_sec_sq=sigma_ratio**2),
+            thresholds=EstimationThresholds(sigma_sec_sq=sigma_ratio**2).with_device_defaults(0.05, 1.0),
         )
         res = run_protocol(cfg)
         v = res.report.verdicts
@@ -702,9 +726,9 @@ class TestFigureDatasets:
                 assert r <= lo_rates[gs] + 1e-15
 
     def test_fig3_sub_percent_reduction(self):
-        header, rows = fig3_dataset(g_over_sigma=[0.0, 0.1], channel_errors=[0.0])
-        r0 = rows[0][2]
-        r1 = rows[1][2]
+        header, rows = fig3_dataset()
+        noiseless = {round(gs, 6): rate for gs, e, rate in rows if e == 0.0}
+        r0, r1 = noiseless[0.0], noiseless[0.1]
         assert (r0 - r1) / r0 < 0.01
 
     def test_fig5_red_below_blue_peak_at_zero(self):
@@ -719,15 +743,15 @@ class TestFigureDatasets:
             assert all(s <= peak + 1e-12 for s in smoothed.values())
 
     def test_fig6_positive_and_ordered(self):
-        header, rows = fig6_dataset(distances=np.arange(0.0, 81.0, 10.0))
-        for _, r_wm, r_bb in rows:
+        header, rows = fig6_dataset()
+        for _, r_wm, r_bb in (r for r in rows if r[0] <= 80.0):
             assert r_wm > 0 and r_bb > 0
             assert abs(r_bb - r_wm) / r_bb < 0.05
 
 
 class TestCsv:
     def test_deterministic_bytes(self, tmp_path):
-        header, rows = fig3_dataset(g_over_sigma=[0.0, 0.25, 0.5])
+        header, rows = fig3_dataset()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(p1, header, rows)
         write_csv(p2, header, rows)

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from wmqkd.bloch import bb84_bloch, projector_axis
-from wmqkd.pointer import (
-    PointerConfig,
-    dephased_state,
-    dephasing_factor,
-    measure_array,
-    pointer_variance,
-    wm_disturbance_error,
-)
+from wmqkd.pointer import PointerConfig, measure_array, pointer_variance, wm_disturbance_error
 
 QUARTER = math.pi / 4  # total axis angle of the unbiased H+-
 
@@ -30,6 +23,27 @@ def measure_rows(r, sign, angle, cfg, rng):
     """measure_array on (N, 3) rows of Bloch vectors; returns (omega, (N, 3) posteriors)."""
     omega, posterior = measure_array(*np.moveaxis(r, -1, 0), sign, angle, cfg, rng)
     return omega, np.stack(posterior, axis=-1)
+
+
+def dephasing_factor(g, sigma):
+    """Coherence survival e^{-g^2 / 8 sigma^2} of one weak measurement."""
+    return math.exp(-(g * g) / (8.0 * sigma * sigma))
+
+
+def dephased_state(r_x, r_y, r_z, sign, angle, cfg):
+    """Pointer-averaged post-measurement (x, y, z) of H(sign) at total axis angles `angle`.
+
+    The component along the projector axis is preserved; the perpendicular
+    part (all of y) shrinks by e^{-g^2/8 sigma^2}.  Unlike `measure_array`, no
+    device bias_phi or angle noise is added.  The Kraus update of
+    `measure_array`, averaged over readings, must reproduce this map.
+    """
+    f = dephasing_factor(cfg.g, cfg.sigma_md)
+    axis_x, axis_z = projector_axis(sign, angle)
+    rn = r_x * axis_x + r_z * axis_z
+    return (rn * axis_x + f * (r_x - rn * axis_x),
+            f * r_y,
+            rn * axis_z + f * (r_z - rn * axis_z))
 
 
 def dephased_row(s, sign, angle, cfg):
