@@ -38,7 +38,6 @@ from . import adversary as adv
 from .bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis
 from .estimation import (
     CELLS,
-    INTENSITY_SIGNAL,
     NO_CLICK,
     EstimationReport,
     EstimationThresholds,
@@ -70,54 +69,31 @@ BLOCK_SIZE = 1 << 16
 # ---------------------------------------------------------------------------
 
 def _stage_tag(stage: str) -> int:
-    """A 64-bit digest of the stage name.
-
-    A digest of 2^63 or more is rounded to a double, as numpy read the (seed,
-    tag) key tuples the streams were first drawn with.
-    """
-    tag = int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8).digest(), "little")
-    return tag if tag < 2**63 else int(float(tag))
+    """A 64-bit digest of the stage name."""
+    return int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8).digest(), "little")
 
 
-def stage_block_generator(master_seed: int, stage: str, block: int) -> np.random.Generator:
-    """Philox stream for one (stage, block); blocks own disjoint counter ranges.
+def stage_block_generator(master_seed: int, stage: str, block: int, part: int = 0) -> np.random.Generator:
+    """Philox stream for one (stage, block, window set); each owns a disjoint counter range.
 
     The key is (master_seed, stage tag) as exact 64-bit words: a seed outside
-    [0, 2^64) raises.
+    [0, 2^64) raises.  A block's clicked windows are part 0 and its no-click
+    windows part 1, so keeping the no-click windows moves no clicked value.
     """
     key = np.array([master_seed, _stage_tag(stage)], dtype=np.uint64)
-    bit_gen = np.random.Philox(key=key, counter=[0, 0, block, 0])
+    bit_gen = np.random.Philox(key=key, counter=[0, part, block, 0])
     return np.random.Generator(bit_gen)
+
+
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n fair bits (uint8 0/1), 64 from each raw Philox word."""
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def _block_plan(n: int) -> list:
     """(block, size) pairs covering range(n) in fixed BLOCK_SIZE blocks."""
     return [(block, min(BLOCK_SIZE, n - lo)) for block, lo in enumerate(range(0, n, BLOCK_SIZE))]
-
-
-class _BlockStream:
-    """One (stage, block) stream whose draws cover the whole block but return the `kept` positions.
-
-    The stream advances as a draw for every signal would, so a kept signal's
-    values do not depend on what else is kept; kept = slice(None) copies
-    nothing.  It stands in for the Generator of code that draws per signal
-    (the shape that code passes is the kept one and is ignored).
-    """
-
-    def __init__(self, master_seed: int, stage: str, block: int, size: int, kept=slice(None)):
-        self.rng, self.size, self.kept = stage_block_generator(master_seed, stage, block), size, kept
-
-    def random(self, _shape=None) -> np.ndarray:
-        return self.rng.random(self.size)[self.kept]
-
-    def bits(self) -> np.ndarray:
-        return (self.random() < 0.5).view(np.uint8)
-
-    def normal(self, loc, scale, _shape=None) -> np.ndarray:
-        return self.rng.normal(loc, scale, self.size)[self.kept]
-
-    def standard_normal(self, _shape=None) -> np.ndarray:
-        return self.rng.standard_normal(self.size)[self.kept]
 
 
 _WORKERS = 2  # blocks in flight at once: numpy's generators and large ufuncs drop the GIL
@@ -194,36 +170,9 @@ class RunResult:
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _block_intensities(u: np.ndarray, probs) -> np.ndarray:
-    """Intensity class per signal: how many cumulative class probabilities u passed.
-
-    The class codes 0, 1, 2 (signal, decoy, vacuum) are the order of `probs`.
-    """
-    edges = np.cumsum(probs)
-    return np.add(u >= edges[0], u >= edges[1], dtype=np.uint8)
-
-
-def _bob_block(stream, r, h: np.ndarray, bias: np.ndarray, pointer: PointerConfig):
-    """Weak measurement of H(h) rotated by `bias` on the kept signals of a block, then a strong Z.
-
-    stream(stage) opens that stage's `_BlockStream` at the kept positions, and
-    r holds their Bloch components (x, y, z).  Returns the pointer readings and
-    Bob's strong-measurement bits, drawn on the posterior's z.
-    """
-    sign = np.where(h == 0, 1.0, -1.0)
-    omega, (_, _, post_z) = measure_array(*r, sign, math.pi / 4 + bias, pointer, stream("bob_wm"))
-    return omega, (stream("bob_strong").random() < 0.5 * (1.0 - post_z)).view(np.int8)
-
-
-def _bob_bias_angles(h: np.ndarray, attack: adv.AttackConfig, stream) -> np.ndarray:
-    """Adversarial rotation of the measured projector, selective per Eve's guess."""
-    if attack.strategy != "biased_observables":
-        return np.zeros(len(h))
-    guess_right = stream("eve_observable_guess").random() < attack.p_h
-    return np.where(guess_right, *adv.observable_biases(h, attack))
-
-
 STAGES = ("source", "channel", "attack", "detection", "measurement", "estimation", "rates")
+_FAKED = ("fake_wm_strategy1", "fake_wm_strategy2")
+_ON_CHANNEL = ("intercept_resend", *_FAKED)  # the strategies whose Eve measures the signals
 
 
 def _stopwatch(timings: dict):
@@ -239,94 +188,112 @@ def _stopwatch(timings: dict):
     return lap
 
 
+def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark, lap=lambda stage: None):
+    """Source, channel, attack and Bob's measurements on one set of a block's windows.
+
+    The set holds windows[c] windows of intensity class c, grouped by class,
+    and the last dark[c] of each class are dark clicks; part 0 is the clicked
+    windows and part 1 the no-click ones.  Every stream is drawn at the set's
+    size.  Returns the set's records (s_a, b, h, omega, s_b, intensity) and its
+    sift tallies (sifted length, errors, Eve's agreements).
+    """
+    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
+    dark_at = np.flatnonzero(np.repeat([False, True] * 3, np.column_stack([windows - dark, dark]).ravel()))
+    stream = partial(stage_block_generator, cfg.master_seed, block=block, part=part)
+    intensity = np.repeat(np.arange(3, dtype=np.uint8), windows)
+    n = len(intensity)
+    s_a, b = _random_bits(stream("alice_bits"), n), _random_bits(stream("alice_basis"), n)
+    r = bb84_bloch(s_a, b)
+    lap("source")
+
+    r = cfg.channel.apply_array(*r)
+    lap("channel")
+
+    eve_bits = None
+    if attack.strategy in _ON_CHANNEL:
+        r, eve_bits = adv.intercept_resend_array(
+            r[0], r[2], b, attack.p_basis, stream("eve_channel"),
+            force_z=attack.strategy == "fake_wm_strategy1")
+    lap("attack")
+
+    # Bob: one weak measurement per signal, of H(h) rotated by Eve's bias, then a strong Z
+    h = _random_bits(stream("bob_observable"), n)
+    bias = 0.0
+    if attack.strategy == "biased_observables":
+        bias = np.where(stream("eve_observable_guess").random(n) < attack.p_h, *adv.observable_biases(h, attack))
+    omega, (_, _, post_z) = measure_array(*r, np.where(h == 0, 1.0, -1.0), math.pi / 4 + bias,
+                                          cfg.pointer, stream("bob_wm"))
+    s_b = (stream("bob_strong").random(n) < 0.5 * (1.0 - post_z)).view(np.int8)
+    if part:
+        s_b[:] = NO_CLICK
+    if len(dark_at):
+        # dark windows carry a photonless pointer record centered at 0 and a coin-flip bit
+        omega[dark_at] = stream("dark_pointer").normal(0.0, cfg.pointer.sigma_md, len(dark_at))
+        s_b[dark_at] = _random_bits(stream("dark_bit"), len(dark_at))
+    if attack.strategy in _FAKED:
+        # Eve's agent overwrites the device output for every detection window
+        omega = adv.sample_strategy_fakes(
+            s_a, b, h, attack, cfg.pointer.g, cfg.pointer.sigma_md, stream("eve_fakes"))
+    lap("measurement")
+
+    # ground truth from the oracle's side of the fence
+    sift = (b == 0) & (s_b != NO_CLICK)
+    tallies = (int(np.count_nonzero(sift)), int(np.count_nonzero(sift & (s_a != s_b))),
+               int(np.count_nonzero(sift & (eve_bits == s_b))) if eve_bits is not None else 0)
+    lap("rates")
+    return (s_a, b, h, omega, s_b, intensity), tallies
+
+
 def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     """Execute the protocol once; deterministic in cfg.master_seed.
 
-    Every stage runs on one BLOCK_SIZE block at a time, detection first and
-    the rest on the clicked signals only (every signal with keep_log); each
-    stream is still drawn over the whole block, so the outputs are the same
-    either way.  Only the per-class sent counts, the sifted-key tallies and
-    the clicked records outlive a block (every record with keep_log); the
-    estimation counts the clicks.  Blocks run two at a time on a thread pool
+    Each BLOCK_SIZE block first draws its per-class sent counts and then each
+    class's photon-click, dark-click and no-click counts: a window clicks by
+    its intensity class alone, and windows are exchangeable.  The later stages
+    run on the clicked windows only, every stream drawn at their number.  With
+    keep_log the no-click windows run through the same stages as a second set
+    on streams of their own, so the clicked records and the report do not
+    change.  A block's records come out grouped: its clicked windows by class
+    (signal, decoy, vacuum), photon clicks before dark clicks, then with
+    keep_log its no-click windows by class.  Only the per-class sent counts,
+    the sift tallies and the kept records outlive a block; the estimation
+    counts the clicks.  Blocks run two at a time on a thread pool
     (`_map_blocks`), so the stage timings sum both threads' time and can
     exceed the wall time.
     """
-    seed = cfg.master_seed
-    thresholds = cfg.resolved_thresholds()
-    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
-    eve_on_channel = attack.strategy in ("intercept_resend", "fake_wm_strategy1", "fake_wm_strategy2")
-    faked = attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2")
     # intensity only gates detection since multi-photon pulses are accounted
-    # analytically by the decoy bounds
-    p_photon_by_class = -np.expm1(-cfg.system.eta * np.array([cfg.decoy.mu, cfg.decoy.nu, 0.0]))
+    # analytically by the decoy bounds; a window clicks by a photon, else by a
+    # dark count, else not at (class, outcome) probabilities:
+    p_photon = -np.expm1(-cfg.system.eta * np.array([cfg.decoy.mu, cfg.decoy.nu, 0.0]))
+    p_dark = np.minimum(cfg.system.y0, 1.0 - p_photon)
+    outcome_probs = np.column_stack([p_photon, p_dark, np.maximum(1.0 - p_photon - p_dark, 0.0)])
 
     def run_block(block, size):
         """One block's records, per-class sent counts, sift tallies and stage timings."""
         timings = dict.fromkeys(STAGES, 0.0)
         lap = _stopwatch(timings)
-        stream = partial(_BlockStream, seed, block=block, size=size)
-        intensity = _block_intensities(stream("intensity").random(), cfg.intensity_probs)
-        sent = np.bincount(intensity, minlength=3)
+        sent = stage_block_generator(cfg.master_seed, "intensity", block).multinomial(size, cfg.intensity_probs)
         lap("source")
-
-        # a window clicks by its intensity class alone, whatever the state, so
-        # detection comes first and every later stage runs on the kept windows
-        p_photon = p_photon_by_class[intensity]
-        u = stream("detection").random()
-        photon_click = u < p_photon
-        dark_click = (~photon_click) & (u < p_photon + cfg.system.y0)
-        clicked = photon_click | dark_click
-        kept = slice(None) if keep_log else np.flatnonzero(clicked)
-        del p_photon, u, photon_click
-        clicked, dark_click, intensity = clicked[kept], dark_click[kept], intensity[kept]
+        photon, dark, none = stage_block_generator(cfg.master_seed, "detection", block).multinomial(
+            sent, outcome_probs).T
         lap("detection")
+        sets = [_simulate_windows(cfg, block, 0, photon + dark, dark, lap)]
+        if keep_log:
+            sets.append(_simulate_windows(cfg, block, 1, none, np.zeros_like(none), lap))
+        return sets, sent, timings
 
-        stream = partial(stream, kept=kept)
-        s_a, b = stream("alice_bits").bits(), stream("alice_basis").bits()
-        r = bb84_bloch(s_a, b)
-        lap("source")
-
-        r = cfg.channel.apply_array(*r)
-        lap("channel")
-
-        eve_bits = None
-        if eve_on_channel:
-            r, eve_bits = adv.intercept_resend_array(
-                r[0], r[2], b, attack.p_basis, stream("eve_channel"),
-                force_z=attack.strategy == "fake_wm_strategy1")
-        lap("attack")
-
-        # Bob: one weak measurement per signal, then a strong Z measurement
-        h = stream("bob_observable").bits()
-        omega, s_b = _bob_block(stream, r, h, _bob_bias_angles(h, attack, stream), cfg.pointer)
-        if dark_click.any():
-            # dark windows carry a photonless pointer record centered at 0 and
-            # a coin-flip bit; a block without one needs neither stream
-            omega = np.where(dark_click, stream("dark_pointer").normal(0.0, cfg.pointer.sigma_md), omega)
-            s_b = np.where(dark_click, stream("dark_bit").bits().view(np.int8), s_b)
-        if faked:
-            # Eve's agent overwrites the device output for every detection window
-            omega = adv.sample_strategy_fakes(
-                s_a, b, h, attack, cfg.pointer.g, cfg.pointer.sigma_md, stream("eve_fakes"))
-        s_b = np.where(clicked, s_b, np.int8(NO_CLICK))
-        lap("measurement")
-
-        # ground truth from the oracle's side of the fence
-        sift = clicked & (b == 0)
-        tallies = (int(np.count_nonzero(sift)), int(np.count_nonzero(sift & (s_a != s_b))),
-                   int(np.count_nonzero(sift & (eve_bits == s_b))) if eve_bits is not None else 0)
-        lap("rates")
-        return (s_a, b, h, omega, s_b, intensity), sent, tallies, timings
-
-    records, sent, tallies, block_timings = zip(*_map_blocks(run_block, cfg.n_signals))
-    timings = {stage: sum(t[stage] for t in block_timings) for stage in STAGES}
+    blocks = _map_blocks(run_block, cfg.n_signals)
+    timings = {stage: sum(t[stage] for _, _, t in blocks) for stage in STAGES}
     lap = _stopwatch(timings)
+    records, tallies = zip(*(window_set for sets, _, _ in blocks for window_set in sets))
     key_len, errors, eve_agreements = map(sum, zip(*tallies))
     log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
     del records  # the log holds copies
-    report = build_report(log, thresholds, sent=sum(sent))
+    report = build_report(log, cfg.resolved_thresholds(), sent=sum(sent for _, sent, _ in blocks))
+    del blocks
     lap("estimation")
 
+    eve_on_channel = cfg.attack.strategy in _ON_CHANNEL
     gt_error = errors / key_len if key_len else 0.0
     eve_known = eve_agreements / key_len if eve_on_channel and key_len else None
     abort = report.abort
@@ -334,7 +301,7 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     if not abort:
         key_rate = _estimated_key_rate(report, cfg)
     ideal = smoothed_rate(report.qber)
-    undetected = (attack.strategy != "none") and not abort and (eve_known or 0.0) > 0.99
+    undetected = (cfg.attack.strategy != "none") and not abort and (eve_known or 0.0) > 0.99
     lap("rates")
 
     return RunResult(
@@ -366,18 +333,17 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     """Loss-free estimation bench: weak-measure n signals through a channel.
 
     Every signal clicks, all pulses are signal intensity; this isolates the
-    estimation statistics from the detection model.  The source and Bob's
-    measurement are run_protocol's, block for block.
+    estimation statistics from the detection model.  The signals are
+    run_protocol's clicked windows, block for block, for a block whose every
+    window is a signal-class photon click.
     """
-    def block_columns(block, size):
-        stream = partial(_BlockStream, master_seed, block=block, size=size)
-        s_a, b = stream("alice_bits").bits(), stream("alice_basis").bits()
-        h = stream("bob_observable").bits()
-        r = channel.apply_array(*bb84_bloch(s_a, b))
-        return s_a, b, h, *_bob_block(stream, r, h, np.zeros(size), pointer)
+    cfg = ProtocolConfig(n_signals=n, master_seed=master_seed, pointer=pointer, channel=channel)
+    none = np.zeros(3, dtype=np.int64)
 
-    s_a, b, h, omega, s_b = (np.concatenate(column) for column in zip(*_map_blocks(block_columns, n)))
-    return SignalLog(s_a, b, h, omega, s_b, np.full(n, INTENSITY_SIGNAL, dtype=np.uint8))
+    def block_records(block, size):
+        return _simulate_windows(cfg, block, 0, np.array([size, 0, 0]), none)[0]
+
+    return SignalLog(*(np.concatenate(column) for column in zip(*_map_blocks(block_records, n))))
 
 
 # ---------------------------------------------------------------------------

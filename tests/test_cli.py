@@ -21,6 +21,10 @@ eta_d = 1.0
 distance_km = 0.0
 """
 
+# the honest default device resolved: its runs pass on each of 40 seeds at
+# n = 2e6, where at QUICK's n = 4e5 about one seed in eight aborts
+HONEST = QUICK.replace("n_signals = 400000", "n_signals = 2000000")
+
 ATTACK_IR = QUICK + """
 [attack]
 strategy = intercept_resend
@@ -130,7 +134,7 @@ class TestConfigParsing:
 
 class TestRunCommand:
     def test_honest_run_exit_zero(self, tmp_path):
-        cfg = write(tmp_path, "run.ini", QUICK)
+        cfg = write(tmp_path, "run.ini", HONEST)
         code = main(["--config", cfg, "--out", str(tmp_path), "run"])
         assert code == EXIT_OK
         report = (tmp_path / "run_report.txt").read_text()
@@ -147,8 +151,9 @@ class TestRunCommand:
         assert qber > 0.2
 
     @pytest.mark.parametrize("settings, failing", [
-        # the coupling estimate is negative at n = 2000; 150 km leaves signal cells empty
-        ("[run]\nn_signals = 2000\n", ("couplings_bounded", "variances_bounded")),
+        # at n = 2000 the coupling estimate is negative on about half the seeds,
+        # seed 1 among them; 150 km leaves signal cells empty
+        ("[run]\nn_signals = 2000\nmaster_seed = 1\n", ("couplings_bounded", "variances_bounded")),
         ("[run]\nn_signals = 200000\n[system]\neta_d = 0.145\ndistance_km = 150\n", CHECK_NAMES),
     ], ids=["tiny_n", "150km"])
     def test_unestimable_run_is_an_abort(self, tmp_path, settings, failing):
@@ -160,7 +165,7 @@ class TestRunCommand:
             assert f"verdict.{name} = {'fail' if name in failing else 'pass'}" in report, name
 
     def test_csv_format(self, tmp_path):
-        cfg = write(tmp_path, "run.ini", QUICK)
+        cfg = write(tmp_path, "run.ini", HONEST)
         code = main(["--config", cfg, "--out", str(tmp_path), "--format", "csv", "run"])
         assert code == EXIT_OK
         lines = (tmp_path / "run_summary.csv").read_text().splitlines()

@@ -28,23 +28,23 @@ RUN_CASES = {
 }
 
 DIGESTS = {
-    "run.honest.report": "c5ca01f69aeb60811d97eb416f8d61b8a64374e35663191e2d19f2c1eda54162",
-    "run.honest.csv": "bc88dc4e05ed314ad9c9969030cc2b4bdf70a80586308c055a09cbdb2617d48e",
-    "attack.intercept_resend.report": "8707a0b314958831def5315eb206e916315c2552ed095b8837c14b7a9271ae29",
-    "attack.intercept_resend.csv": "1af94753ef4dd159e83dd5028af551a2ed3120a2e08ef9d7edbdadc348620ad6",
-    "attack.fake_wm_strategy1.report": "2107c68ade700cf7d63893a8c274952e609ff21ffce9f7aca9b52ee1949f5212",
-    "attack.fake_wm_strategy1.csv": "055e1f200f9971ab870ba3b2da773f22d42232b35fee16e87afd44c991884c30",
-    "attack.fake_wm_strategy2.report": "e79e59aa001157ec6827909a87ab635ffe58d448682fcd7a721dd9dcc0684afc",
-    "attack.fake_wm_strategy2.csv": "8bf3d0bdf73f094f6c8c05449abde348a2f15d520fd2294860521b94abef7e94",
-    "attack.biased_observables.report": "b416b104aad73c60615fe446c872a65d752d9361284b06c5fe304a5da8e6d260",
-    "attack.biased_observables.csv": "893c3a2a267f3d40a5774a4ac15e2697fdd1d60d9ed310a1cca6a7410c02a903",
-    "keep_log": "8af3e4b1988524a391cc1abb1edf4e173d74db913fd5401bcff4f3177c7f2ea4",
-    "verify.report": "407f7c23568af4b277e775e2adbf2974cd8bcec923fc7d859f16743b73615cc1",
+    "run.honest.report": "fb137e8e21d69b51693f5633b4989eef7c67078783f6ccb0f533e446f25f895e",
+    "run.honest.csv": "cbe9eab2445ed4003b42311e873738df036b19b05f6e57079543d28273d9871a",
+    "attack.intercept_resend.report": "e29d5f4d5fcbbadc80bafb38afd9ce7aa249550bcf5a37790c4756817ab209b5",
+    "attack.intercept_resend.csv": "5d11f93276f99387bab8f6f95b59bfe88586d230fad19767924784b4b71c3b4f",
+    "attack.fake_wm_strategy1.report": "32d1b09cbd54a8004b0ddb976da0ca1575feb857d18a34055cab5d03f5da8d23",
+    "attack.fake_wm_strategy1.csv": "218efe1a4ab602f95fa440ddda4e02135199dd87193a50f89b5c37338076aea0",
+    "attack.fake_wm_strategy2.report": "dc164cb6e88c98a2db7170d3a5c2cfb8c1c05a96ce5ea213d72d50f95685f681",
+    "attack.fake_wm_strategy2.csv": "5d5043bed0fb183635f29f8b6abe7b8368b6bb9ff7b2427c6b01996e0cdf6dae",
+    "attack.biased_observables.report": "94ff3d5355c9e259b2bbcf3672ef494d2d21bf08078f9799e92ba5e7fee4c320",
+    "attack.biased_observables.csv": "9e6310ea65655d42ff722dcc86a9652ccd5f9cc9bcb49b0a60748083ede6e8c6",
+    "keep_log": "3089752064d4b2263100cf5c89c04c20cea1909b1f09d6328db49a39ba555d4c",
+    "verify.report": "35913246ca82289ff37175fee4370033a160bd1f307c33e57f1f6eb74ae8c8dd",
     "sweep.channel.depolarizing_prob": "aa715ad6fab9df991b210abc5e9204c351a9921efe9f44e129018a9cf8bc9bcf",
     "figures.fig3": "c1ba97b57ae53c0a1004d0d17fb32fc8fcb050c265f84318c5a8f8df59b68c5a",
     "figures.fig5": "b4310de6973227b35de681f7348c7c295f2be77ffabcab33eda4623f608ad609",
     "figures.fig6": "6b88a0ea38021e8ca0ea6e00fc83a5582e06de8dcaa059aba8e062a532e49061",
-    "run.no_decoy.report": "485cf17064d3adfbac09912ea3a37532c08b54534c7c1ee33f696ef4fb4396ea",
+    "run.no_decoy.report": "43262b37f8eb6a0ad6a305e2f3f93622c9994b61ae0a7acb468da1dd97c00929",
     "sweep.system.distance_km": "86f14114648528267afa7b25ace8b0e720df7f582c8c75bf2cb5197e1201e5b9",
     "sweep.attack.p_h": "0bcb65cbf73c8d6d9a034774596ba69c9e9b9f1133ea7e7b635bbced25643065",
     "sweep.attack.phi": "444fe4e063a726b55ea8bd97843f03050bd4cb80e26023a9c3ac38ddf9b664ae",
