@@ -1,19 +1,20 @@
 """End-to-end protocol runner, analytic sweeps, and figure datasets.
 
-One run executes: intensity draw -> loss and detection (with dark counts) ->
-source bits/bases -> channel -> attack -> one weak measurement per signal
-(observable chosen uniformly) -> strong Z measurement -> sifting -> the
-estimation subroutine -> key-rate evaluation.  A window clicks by its intensity
-class alone, so detection comes first and the later stages run on the clicked
-signals only (every signal when the run keeps the full log).  Everything is
-deterministic given the master seed: every random stage draws from its own
-Philox stream keyed by (master_seed, stage tag) and partitioned into fixed
-2^16-signal counter blocks, always over the whole block, so what is kept never
-changes a value.  A run takes each block through every stage on its own, on
-a thread pool of two, so its memory is two blocks' temporaries plus the
-clicked records; the pool returns the records in block order, and the
-estimation subroutine sees exactly the records a whole-array run would keep,
-in the same order.
+One run executes: intensity counts -> click counts (loss and detection with
+dark counts) -> source bits/bases -> channel -> attack -> one weak measurement
+per signal (observable chosen uniformly) -> strong Z measurement -> sifting ->
+the estimation subroutine -> key-rate evaluation.  A window clicks by its
+intensity class alone and windows are exchangeable, so each 2^16-signal block
+draws counts first (its per-class sent counts, then each class's photon-click,
+dark-click and no-click counts) and the later stages run on the clicked
+windows only; a run that keeps the full log runs its no-click windows through
+the same stages as a second window set.  Everything is deterministic given the
+master seed: every random stage draws from its own Philox stream keyed by
+(master_seed, stage tag), one counter range per (block, window set), at the
+set's size.  A run takes each block through every stage on its own, on a
+thread pool of two, so its memory is two blocks' temporaries plus the clicked
+records; the pool returns the records in block order, so the worker count
+never changes a value.
 
 The analytic mode bypasses sampling: conditioned cell statistics are computed
 in closed form (for an honest device the reading in any cell is the two-branch
@@ -197,7 +198,7 @@ def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark,
     size.  Returns the set's records (s_a, b, h, omega, s_b, intensity) and its
     sift tallies (sifted length, errors, Eve's agreements).
     """
-    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
+    attack = cfg.attack
     dark_at = np.flatnonzero(np.repeat([False, True] * 3, np.column_stack([windows - dark, dark]).ravel()))
     stream = partial(stage_block_generator, cfg.master_seed, block=block, part=part)
     intensity = np.repeat(np.arange(3, dtype=np.uint8), windows)
@@ -274,23 +275,24 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         lap = _stopwatch(timings)
         sent = stage_block_generator(cfg.master_seed, "intensity", block).multinomial(size, cfg.intensity_probs)
         lap("source")
-        photon, dark, none = stage_block_generator(cfg.master_seed, "detection", block).multinomial(
+        photon, dark, unclicked = stage_block_generator(cfg.master_seed, "detection", block).multinomial(
             sent, outcome_probs).T
         lap("detection")
         sets = [_simulate_windows(cfg, block, 0, photon + dark, dark, lap)]
         if keep_log:
-            sets.append(_simulate_windows(cfg, block, 1, none, np.zeros_like(none), lap))
+            sets.append(_simulate_windows(cfg, block, 1, unclicked, np.zeros_like(unclicked), lap))
         return sets, sent, timings
 
     blocks = _map_blocks(run_block, cfg.n_signals)
     timings = {stage: sum(t[stage] for _, _, t in blocks) for stage in STAGES}
     lap = _stopwatch(timings)
+    sent = sum(sent for _, sent, _ in blocks)
     records, tallies = zip(*(window_set for sets, _, _ in blocks for window_set in sets))
+    del blocks
     key_len, errors, eve_agreements = map(sum, zip(*tallies))
     log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
     del records  # the log holds copies
-    report = build_report(log, cfg.resolved_thresholds(), sent=sum(sent for _, sent, _ in blocks))
-    del blocks
+    report = build_report(log, cfg.resolved_thresholds(), sent=sent)
     lap("estimation")
 
     eve_on_channel = cfg.attack.strategy in _ON_CHANNEL
