@@ -332,6 +332,16 @@ class TestHonestRun:
         assert res.qber == pytest.approx(gt, abs=4 * res.report.delta_b_se)
 
 
+    def test_angle_noise_is_drawn_per_signal(self):
+        # one angle draw shared by a block's signals moves every cell mean by
+        # several se at sigma_phi = 1; per-signal noise damps it exactly
+        cfg = ProtocolConfig(n_signals=BLOCK_SIZE, master_seed=3, pointer=PointerConfig(0.5, 1.0, sigma_phi=1.0),
+                             intensity_probs=(1.0, 0.0, 0.0))
+        res = run_protocol(cfg)
+        mean, var = exact_cell_statistics(cfg)
+        assert np.all(np.abs(res.report.cell_mean - mean) < 5 * np.sqrt(var / res.report.cell_count))
+
+
 class TestDetectorIndependence:
     def test_estimation_ignores_strong_outcomes(self):
         cfg = small_cfg()
