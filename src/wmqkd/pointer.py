@@ -99,13 +99,14 @@ def measure_array(r_x, r_y, r_z, sign, angle, cfg: PointerConfig, rng):
     """Weak-measure a batch of states; returns (omega, (x, y, z) of the posteriors).
 
     r_x, r_y, r_z: (N,) Bloch components; sign: (N,) +-1 family tags; angle:
-    (N,) total axis angles (already including any adversarial bias).  Device
-    bias_phi is added here, and sigma_phi angle noise is drawn fresh per signal.
+    (N,) total axis angles, or one for all (already including any adversarial
+    bias).  Device bias_phi is added here, and sigma_phi angle noise is drawn
+    fresh per signal.
     """
     sign = np.asarray(sign, dtype=float)
     angle = np.asarray(angle, dtype=float) + cfg.bias_phi
     if cfg.sigma_phi > 0:
-        angle = angle + rng.normal(0.0, cfg.sigma_phi, angle.shape)
+        angle = angle + rng.normal(0.0, cfg.sigma_phi, sign.shape)
     axis_x, axis_z = projector_axis(sign, angle)
     rn = r_x * axis_x + r_z * axis_z
     omega = sample_readings(0.5 * (1.0 + rn), cfg.g, cfg.sigma_md, rng)
