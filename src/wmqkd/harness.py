@@ -221,7 +221,8 @@ def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark,
     h = _random_bits(stream("bob_observable"), n)
     angle = math.pi / 4
     if attack.strategy == "biased_observables":
-        angle = angle + np.where(stream("eve_observable_guess").random(n) < attack.p_h, *adv.observable_biases(h, attack))
+        guess_right = stream("eve_observable_guess").random(n) < attack.p_h
+        angle = angle + np.where(guess_right, *adv.observable_biases(h, attack))
     omega, (_, _, post_z) = measure_array(*r, np.where(h == 0, 1.0, -1.0), angle, cfg.pointer, stream("bob_wm"))
     s_b = (stream("bob_strong").random(n) < 0.5 * (1.0 - post_z)).view(np.int8)
     if part:

@@ -229,7 +229,8 @@ NOISY_DEVICE = dict(pointer=PointerConfig(0.05, 1.0, sigma_phi=0.02, bias_phi=0.
 # the dark-heavy systems run the noisy device: dark counts are 63 % of the lossy
 # and 12 % of the lossless signal-class clicks
 PIPELINE_SYSTEMS = {"lossless": ProtocolConfig().system, "lossy": SystemParams(),
-                    "dark_lossless": replace(ProtocolConfig().system, y0=0.05), "dark_lossy": SystemParams(y0=0.05)}
+                    "dark_lossless": replace(ProtocolConfig().system, y0=0.05),
+                    "dark_lossy": SystemParams(y0=0.05)}
 
 
 def pipeline_cfg(strategy, system):
@@ -245,8 +246,8 @@ def run_fields(result):
 
 def assert_same_log(got, want):
     for name in LOG_COLUMNS:
-        column = getattr(got, name)
-        assert column.dtype == getattr(want, name).dtype and column.tobytes() == getattr(want, name).tobytes(), name
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("system", sorted(PIPELINE_SYSTEMS))
@@ -264,9 +265,10 @@ def test_worker_count_does_not_change_the_run(monkeypatch, strategy, system):
 
 def test_worker_count_does_not_change_the_estimation_bench(monkeypatch):
     logs = []
+    channel, pointer = ChannelModel(0.1, 0.2), PointerConfig(0.05, 1.0, sigma_phi=0.1, bias_phi=0.02)
     for workers in (1, 2):
         monkeypatch.setattr(harness, "_WORKERS", workers)
-        logs.append(channel_estimation_log(ChannelModel(0.1, 0.2), PointerConfig(0.05, 1.0, 0.1, 0.02), PIPELINE_N, 7))
+        logs.append(channel_estimation_log(channel, pointer, PIPELINE_N, 7))
     assert_same_log(*logs)
     assert len(logs[0]) == PIPELINE_N and logs[0].clicked.all() and not logs[0].intensity.any()
 
