@@ -340,10 +340,10 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     window is a signal-class photon click.
     """
     cfg = ProtocolConfig(n_signals=n, master_seed=master_seed, pointer=pointer, channel=channel)
-    none = np.zeros(3, dtype=np.int64)
+    no_dark = np.zeros(3, dtype=np.int64)
 
     def block_records(block, size):
-        return _simulate_windows(cfg, block, 0, np.array([size, 0, 0]), none)[0]
+        return _simulate_windows(cfg, block, 0, np.array([size, 0, 0]), no_dark)[0]
 
     return SignalLog(*(np.concatenate(column) for column in zip(*_map_blocks(block_records, n))))
 
