@@ -102,10 +102,10 @@ class AttackConfig:
 def intercept_resend_array(r_x, r_z, basis_flags, p_basis, rng, force_z: bool = False):
     """Vectorised intercept-resend on post-channel states.
 
-    r_x, r_z: (N,) Bloch components (Eve's strong measurement never reads y);
-    basis_flags: (N,) 0=Z / 1=X true bases.  Eve measures Z always when
-    force_z (Strategy 1/3 with believed-Z), otherwise in her guessed basis.
-    Returns ((x, y, z) of the re-emitted eigenstates, eve_outcome_bits).
+    r_x, r_z: (N,) Bloch components; basis_flags: (N,) 0=Z / 1=X true bases.
+    Eve measures Z always when force_z (Strategy 1/3 with believed-Z),
+    otherwise in her guessed basis.  Returns ((x, z) of the re-emitted
+    eigenstates, eve_outcome_bits).
     """
     n = len(basis_flags)
     if force_z:
@@ -118,14 +118,14 @@ def intercept_resend_array(r_x, r_z, basis_flags, p_basis, rng, force_z: bool = 
     outcome_plus = rng.random(n) < 0.5 * (1.0 + proj)
     bits = np.where(outcome_plus, 0, 1).astype(np.uint8)
     sign = np.where(outcome_plus, 1.0, -1.0)
-    return (np.where(guess == 1, sign, 0.0), np.zeros(n), np.where(guess == 0, sign, 0.0)), bits
+    return (np.where(guess == 1, sign, 0.0), np.where(guess == 0, sign, 0.0)), bits
 
 
 def intercept_resend_mean_state(r_x, r_z, basis_flags, p_basis: float):
     """Exact ensemble average (x, z) of the re-emitted states (analytic mode).
 
     Eve measures the true basis (0=Z / 1=X) with probability p_basis, which
-    keeps that component, and the other basis otherwise; y is always lost.
+    keeps that component, and the other basis otherwise.
     """
     return (np.where(basis_flags == 1, p_basis, 1.0 - p_basis) * r_x,
             np.where(basis_flags == 0, p_basis, 1.0 - p_basis) * r_z)

@@ -1,10 +1,11 @@
 """Single-qubit Bloch-vector algebra for the weak-measurement QKD toolkit.
 
-A qubit density operator rho = (I + r_x X + r_y Y + r_z Z)/2 is represented by
-its Bloch components (r_x, r_y, r_z), held as plain float arrays of any common
-shape: one entry per signal in a Monte Carlo block, one per (bit, basis,
-observable) cell in the analytic mode.  The protocol's observables are the
-rank-1 projectors
+A qubit density operator rho = (I + r_x X + r_z Z)/2 is represented by its
+Bloch components (r_x, r_z), held as plain float arrays of any common shape:
+one entry per signal in a Monte Carlo block, one per (bit, basis, observable)
+cell in the analytic mode.  No Y component is held: the BB84 states, the
+observables and the channel are all real, so a state never leaves the X-Z
+plane.  The protocol's observables are the rank-1 projectors
 
     H(+, phi) = (I + sin(pi/4 + phi) X + cos(pi/4 + phi) Z) / 2
     H(-, phi) = (I - sin(pi/4 + phi) X + cos(pi/4 + phi) Z) / 2
@@ -22,14 +23,14 @@ import numpy as np
 
 
 def bb84_bloch(bits, basis):
-    """Bloch components (x, y, z) of the BB84 states for bit and basis flags.
+    """Bloch components (x, z) of the BB84 states for bit and basis flags.
 
     Basis 0 = Z, 1 = X; bit 0 lies along +axis, bit 1 along -axis, so
     (Z, 0) -> |0>, (Z, 1) -> |1>, (X, 0) -> |+>, (X, 1) -> |->.
     """
     sign = np.where(bits == 0, 1.0, -1.0)
     z_basis = basis == 0
-    return np.where(z_basis, 0.0, sign), np.zeros(sign.shape), np.where(z_basis, sign, 0.0)
+    return np.where(z_basis, 0.0, sign), np.where(z_basis, sign, 0.0)
 
 
 def projector_axis(sign, angle):
@@ -57,13 +58,13 @@ class ChannelModel:
         if not 0.0 <= self.depolarizing_prob <= 1.0:
             raise ValueError(f"depolarizing_prob must be in [0,1], got {self.depolarizing_prob}")
 
-    def apply_array(self, r_x, r_y, r_z):
-        """Vectorised channel action on component arrays."""
+    def apply_array(self, r_x, r_z):
+        """Vectorised channel action on component arrays; returns (x, z)."""
         c, s = math.cos(self.rotation_theta), math.sin(self.rotation_theta)
         shrink = 1.0 - self.depolarizing_prob
         out_x = shrink * (r_x * c + r_z * s)
         out_z = shrink * (r_z * c - r_x * s)
-        return out_x, shrink * np.asarray(r_y), out_z
+        return out_x, out_z
 
 
 def channel_r_parameters(c: ChannelModel) -> dict:
@@ -73,7 +74,7 @@ def channel_r_parameters(c: ChannelModel) -> dict:
     error-rate formulas; r_z_plus and r_x_0 (nonzero only under rotation) feed
     the optimal-bias expressions.
     """
-    r_x, _, r_z = c.apply_array(*bb84_bloch(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])))
+    r_x, r_z = c.apply_array(*bb84_bloch(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])))
     return {f"r_{axis}_{state}": float(r[i])
             for i, state in enumerate(("plus", "minus", "0", "1"))
             for axis, r in (("x", r_x), ("z", r_z))}

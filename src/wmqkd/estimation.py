@@ -598,11 +598,11 @@ def build_report(log: SignalLog, thresholds: EstimationThresholds,
     cannot be estimated fails the checks its NaN moments reach; thin decoy
     cells leave the decoy error to the signal estimates.
     """
-    clicks = np.bincount(log.intensity[log.clicked], minlength=3)
+    classes = condition_and_average(log)
     if sent is None:
         sent = np.bincount(log.intensity, minlength=3)
-    gains = tuple(int(clicks[code]) / int(sent[code]) if sent[code] else 0.0 for code in INTENSITY_NAMES)
-    signal, decoy, _ = condition_and_average(log)
+    gains = tuple(int(stats.count.sum()) / int(n) if n else 0.0 for stats, n in zip(classes, sent))
+    signal, decoy, _ = classes
     return report_from_stats(signal, thresholds, gains, stats_decoy=decoy if np.all(decoy.count > 1) else None)
 
 

@@ -7,8 +7,8 @@ the estimation subroutine -> key-rate evaluation.  A window clicks by its
 intensity class alone and windows are exchangeable, so each 2^16-signal block
 draws counts first (its per-class sent counts, then each class's photon-click,
 dark-click and no-click counts) and the later stages run on the clicked
-windows only; a run that keeps the full log runs its no-click windows through
-the same stages as a second window set.  Everything is deterministic given the
+windows only; a run that keeps the full log runs its no-click windows up to
+the weak measurement as a second window set.  Everything is deterministic given the
 master seed: every random stage draws from its own Philox stream keyed by
 (master_seed, stage tag), one counter range per (block, window set), at the
 set's size.  A run takes each block through every stage on its own, on a
@@ -213,8 +213,7 @@ def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark,
     eve_bits = None
     if attack.strategy in _ON_CHANNEL:
         r, eve_bits = adv.intercept_resend_array(
-            r[0], r[2], b, attack.p_basis, stream("eve_channel"),
-            force_z=attack.strategy == "fake_wm_strategy1")
+            *r, b, attack.p_basis, stream("eve_channel"), force_z=attack.strategy == "fake_wm_strategy1")
     lap("attack")
 
     # Bob: one weak measurement per signal, of H(h) rotated by Eve's bias, then a strong Z
@@ -223,10 +222,9 @@ def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark,
     if attack.strategy == "biased_observables":
         guess_right = stream("eve_observable_guess").random(n) < attack.p_h
         angle = angle + np.where(guess_right, *adv.observable_biases(h, attack))
-    omega, (_, _, post_z) = measure_array(*r, np.where(h == 0, 1.0, -1.0), angle, cfg.pointer, stream("bob_wm"))
-    s_b = (stream("bob_strong").random(n) < 0.5 * (1.0 - post_z)).view(np.int8)
-    if part:
-        s_b[:] = NO_CLICK
+    omega, (_, post_z) = measure_array(*r, np.where(h == 0, 1.0, -1.0), angle, cfg.pointer, stream("bob_wm"))
+    s_b = (np.full(n, NO_CLICK, dtype=np.int8) if part  # a no-click window has no strong outcome
+           else (stream("bob_strong").random(n) < 0.5 * (1.0 - post_z)).view(np.int8))
     if len(dark_at):
         # dark windows carry a photonless pointer record centered at 0 and a coin-flip bit
         omega[dark_at] = stream("dark_pointer").normal(0.0, cfg.pointer.sigma_md, len(dark_at))
@@ -252,9 +250,9 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     class's photon-click, dark-click and no-click counts: a window clicks by
     its intensity class alone, and windows are exchangeable.  The later stages
     run on the clicked windows only, every stream drawn at their number.  With
-    keep_log the no-click windows run through the same stages as a second set
-    on streams of their own, so the clicked records and the report do not
-    change.  A block's records come out grouped: its clicked windows by class
+    keep_log the no-click windows run through the same stages up to the weak
+    measurement as a second set on streams of their own, so the clicked
+    records and the report do not change.  A block's records come out grouped: its clicked windows by class
     (signal, decoy, vacuum), photon clicks before dark clicks, then with
     keep_log its no-click windows by class.  Only the per-class sent counts,
     the sift tallies and the kept records outlive a block; the estimation
@@ -355,7 +353,7 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
 def _honest_cell_expectations(cfg: ProtocolConfig, attack: adv.AttackConfig) -> np.ndarray:
     """Marginal shifted-branch probability E per (bit, basis, observable) cell."""
     s_a, basis, h = CELLS
-    r_x, _, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
+    r_x, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
     if attack.strategy == "intercept_resend":
         r_x, r_z = adv.intercept_resend_mean_state(r_x, r_z, basis, attack.p_basis)
     if attack.strategy == "biased_observables":

@@ -14,7 +14,7 @@ Bloch component along the projector axis is filtered, the perpendicular part
 is scaled by the branch overlap.  Averaged over readings this reproduces the
 dephasing map with factor e^{-g^2/8 sigma^2}.
 
-States are Bloch components (x, y, z), one array each, as ``wmqkd.bloch``
+States are Bloch components (x, z), one array each, as ``wmqkd.bloch``
 holds them, and observables are given by their family sign and total axis
 angle (``wmqkd.bloch.projector_axis``): ``measure_array`` samples readings and
 posteriors for a batch.
@@ -95,10 +95,10 @@ def sample_readings(p_expectations, g, sigma, rng):
     return rng.normal(0.0, sigma, p.shape) + np.where(shifted, g, 0.0)
 
 
-def measure_array(r_x, r_y, r_z, sign, angle, cfg: PointerConfig, rng):
-    """Weak-measure a batch of states; returns (omega, (x, y, z) of the posteriors).
+def measure_array(r_x, r_z, sign, angle, cfg: PointerConfig, rng):
+    """Weak-measure a batch of states; returns (omega, (x, z) of the posteriors).
 
-    r_x, r_y, r_z: (N,) Bloch components; sign: (N,) +-1 family tags; angle:
+    r_x, r_z: (N,) Bloch components; sign: (N,) +-1 family tags; angle:
     (N,) total axis angles, or one for all (already including any adversarial
     bias).  Device bias_phi is added here, and sigma_phi angle noise is drawn
     fresh per signal.
@@ -121,8 +121,7 @@ def measure_array(r_x, r_y, r_z, sign, angle, cfg: PointerConfig, rng):
     weight_b = b2 * (1.0 + rn)
     norm = 0.5 * (weight_a + weight_b)
     out_n = (weight_b - weight_a) / (2.0 * norm)
-    # the axis component is filtered, the perpendicular part (all of y) scaled by the overlap
+    # the axis component is filtered, the perpendicular part scaled by the overlap
     overlap = ab / norm
     return omega, (out_n * axis_x + overlap * (r_x - rn * axis_x),
-                   overlap * r_y,
                    out_n * axis_z + overlap * (r_z - rn * axis_z))

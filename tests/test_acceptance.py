@@ -168,7 +168,7 @@ def test_criterion_4_complement_identity_and_concavity():
         chan = ChannelModel(float(rng.uniform(0, 1)), float(rng.uniform(-math.pi, math.pi)))
         total = 0.0
         for r in (s, -s):  # the state and its complement
-            r_x, _, r_z = chan.apply_array(*r)
+            r_x, r_z = chan.apply_array(r[0], r[2])
             total += 0.5 * (1.0 + axis_x * r_x + axis_z * r_z)
         worst = max(worst, abs(total - 1.0))
     assert worst < 1e-12

@@ -21,14 +21,14 @@ from wmqkd.pointer import PointerConfig, measure_array
 
 
 def z0_states(n):
-    """Bloch components (x, y, z) of n copies of |0>."""
+    """Bloch components (x, z) of n copies of |0>."""
     flags = np.zeros(n, dtype=np.uint8)
     return bb84_bloch(flags, flags)
 
 
 def intercept_rows(r, basis, p_basis, rng):
-    """intercept_resend_array on components; returns the re-emitted states as (N, 3) rows."""
-    out, _ = intercept_resend_array(r[0], r[2], basis, p_basis, rng)
+    """intercept_resend_array on components; returns the re-emitted states as (N, 2) rows."""
+    out, _ = intercept_resend_array(*r, basis, p_basis, rng)
     return np.stack(out, axis=-1)
 
 
@@ -70,15 +70,15 @@ class TestInterceptResend:
         cfg = AttackConfig(strategy="intercept_resend", p_basis=1.0)
         out = intercept_rows(z0_states(50), np.zeros(50, dtype=np.uint8), cfg.p_basis, rng)
         for row in out:
-            assert np.array_equal(row, [0.0, 0.0, 1.0])
+            assert np.array_equal(row, [0.0, 1.0])
 
     def test_half_basis_knowledge_mean_state(self):
         rng = np.random.default_rng(1)
         cfg = AttackConfig(strategy="intercept_resend", p_basis=0.5)
         n = 40_000
         out = intercept_rows(z0_states(n), np.zeros(n, dtype=np.uint8), cfg.p_basis, rng)
-        # re-emitted ensemble averages to (0, 0, 1/2)
-        assert out.mean(axis=0) == pytest.approx([0, 0, 0.5], abs=4 / math.sqrt(n))
+        # re-emitted ensemble averages to (x, z) = (0, 1/2)
+        assert out.mean(axis=0) == pytest.approx([0, 0.5], abs=4 / math.sqrt(n))
 
     @pytest.mark.parametrize("p_basis,want", [(0.5, 0.25), (0.9, 0.05), (1.0, 0.0)])
     def test_induced_sifted_error(self, p_basis, want):
@@ -88,7 +88,7 @@ class TestInterceptResend:
         r = z0_states(n)
         basis = np.zeros(n, dtype=np.uint8)
         out = intercept_rows(r, basis, p_basis, rng)
-        flips = rng.random(n) < 0.5 * (1.0 - out[:, 2])
+        flips = rng.random(n) < 0.5 * (1.0 - out[:, 1])
         se = math.sqrt(max(want * (1 - want), 0.25 / n) / n)
         assert flips.mean() == pytest.approx(want, abs=max(3 * se, 2e-3))
 

@@ -17,11 +17,11 @@ ROOT2 = math.sqrt(2.0)
 
 
 def unit_states(allow_mixed=True):
+    """(x, z) components of a Bloch vector drawn over the whole sphere (or ball)."""
     def build(theta, phi, scale):
         r = scale if allow_mixed else 1.0
         return np.array([
             r * math.sin(theta) * math.cos(phi),
-            r * math.sin(theta) * math.sin(phi),
             r * math.cos(theta),
         ])
     return st.builds(
@@ -44,7 +44,7 @@ def projectors():
 def expectation(proj, r):
     """Tr(H rho) = (1 + axis . r)/2."""
     axis_x, axis_z = projector_axis(*proj)
-    return 0.5 * (1.0 + axis_x * r[0] + axis_z * r[2])
+    return 0.5 * (1.0 + axis_x * r[0] + axis_z * r[1])
 
 
 def bb84(basis, bit):
@@ -56,17 +56,16 @@ H_PLUS = (1, math.pi / 4)
 
 class TestBlochState:
     def test_bb84_states(self):
-        assert np.array_equal(bb84(0, 0), [0, 0, 1])
-        assert np.array_equal(bb84(1, 1), [-1, 0, 0])
-        assert np.array_equal(bb84(1, 0), [1, 0, 0])
-        assert np.array_equal(bb84(0, 1), [0, 0, -1])
+        assert np.array_equal(bb84(0, 0), [0, 1])
+        assert np.array_equal(bb84(1, 1), [-1, 0])
+        assert np.array_equal(bb84(1, 0), [1, 0])
+        assert np.array_equal(bb84(0, 1), [0, -1])
         for basis in (0, 1):
             for bit in (0, 1):
                 assert np.linalg.norm(bb84(basis, bit)) == 1.0
         # a block of flags gives one component array per axis
-        r_x, r_y, r_z = bb84_bloch(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
-        assert np.array_equal(np.stack([r_x, r_y, r_z], axis=-1),
-                              [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0]])
+        r_x, r_z = bb84_bloch(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+        assert np.array_equal(np.stack([r_x, r_z], axis=-1), [[0, 1], [0, -1], [1, 0], [-1, 0]])
 
 
 class TestExpectation:
@@ -81,12 +80,12 @@ class TestExpectation:
 
     def test_maximally_mixed(self):
         for proj in (H_PLUS, (-1, math.pi / 4 + 0.3), (1, math.pi / 4 - 0.9)):
-            assert expectation(proj, np.zeros(3)) == pytest.approx(0.5, abs=1e-15)
+            assert expectation(proj, np.zeros(2)) == pytest.approx(0.5, abs=1e-15)
 
     def test_biased_form(self):
         # general-angle expectation (1 +- r_x sin(pi/4+phi) + r_z cos(pi/4+phi))/2
         phi = 0.17
-        s = np.array([0.3, 0.1, -0.5])
+        s = np.array([0.3, -0.5])
         want = 0.5 * (1 - 0.3 * math.sin(math.pi / 4 + phi) - 0.5 * math.cos(math.pi / 4 + phi))
         assert expectation((-1, math.pi / 4 + phi), s) == pytest.approx(want, abs=1e-15)
 
@@ -116,15 +115,15 @@ class TestChannel:
 
     def test_uniform_shrink(self):
         out = ChannelModel(depolarizing_prob=0.2).apply_array(*bb84(1, 0))
-        assert out == pytest.approx([0.8, 0, 0], abs=1e-15)
+        assert out == pytest.approx([0.8, 0], abs=1e-15)
 
     def test_quarter_rotation(self):
         out = ChannelModel(rotation_theta=math.pi / 2).apply_array(*bb84(0, 0))
-        assert out == pytest.approx([1, 0, 0], abs=1e-15)
+        assert out == pytest.approx([1, 0], abs=1e-15)
 
     def test_fixes_maximally_mixed(self):
-        out = ChannelModel(0.7, 1.1).apply_array(0.0, 0.0, 0.0)
-        assert np.array_equal(out, [0, 0, 0])
+        out = ChannelModel(0.7, 1.1).apply_array(0.0, 0.0)
+        assert np.array_equal(out, [0, 0])
 
     @given(st.floats(0, 1), st.floats(-math.pi, math.pi), unit_states())
     def test_norm_never_grows(self, p, theta, state):

@@ -31,6 +31,11 @@ strategy = intercept_resend
 p_basis = 0.5
 """
 
+# intercept-resend resolved: its qber (expectation 0.25) has a standard error
+# of about 0.011 at n = 2.6e7, under a quarter of the margin to 0.2; at QUICK's
+# n = 4e5 it is about 0.08, and one seed in three reads qber <= 0.2
+ATTACK_IR_RESOLVED = ATTACK_IR.replace("n_signals = 400000", "n_signals = 26000000")
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -142,7 +147,7 @@ class TestRunCommand:
         assert "qber = " in report
 
     def test_intercept_resend_aborts_exit_three(self, tmp_path):
-        cfg = write(tmp_path, "attack.ini", ATTACK_IR)
+        cfg = write(tmp_path, "attack.ini", ATTACK_IR_RESOLVED)
         code = main(["--config", cfg, "--out", str(tmp_path), "run"])
         assert code == EXIT_ABORT
         report = (tmp_path / "run_report.txt").read_text()

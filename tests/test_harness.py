@@ -174,11 +174,11 @@ def reference_cell_expectations(cfg, attack):
     """
     expectations = np.empty((2, 2, 2))
     damp = math.exp(-0.5 * cfg.pointer.sigma_phi**2)
-    z_axis, x_axis = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    z_axis, x_axis = np.array([0.0, 1.0]), np.array([1.0, 0.0])
     for s_a in (0, 1):
         sign = 1.0 if s_a == 0 else -1.0
         for basis_flag in (0, 1):
-            state = (0.0, 0.0, sign) if basis_flag == 0 else (sign, 0.0, 0.0)
+            state = (0.0, sign) if basis_flag == 0 else (sign, 0.0)
             r_vec = np.array([float(c) for c in cfg.channel.apply_array(*state)])
             if attack.strategy == "intercept_resend":
                 e_true, e_other = (z_axis, x_axis) if basis_flag == 0 else (x_axis, z_axis)
@@ -195,7 +195,7 @@ def reference_cell_expectations(cfg, attack):
                 for weight, bias in biases:
                     a = math.pi / 4 + cfg.pointer.bias_phi + bias
                     e += weight * 0.5 * (
-                        1.0 + damp * (fam * math.sin(a) * r_vec[0] + math.cos(a) * r_vec[2]))
+                        1.0 + damp * (fam * math.sin(a) * r_vec[0] + math.cos(a) * r_vec[1]))
                 expectations[s_a, basis_flag, h_flag] = e
     return expectations
 

@@ -10,9 +10,8 @@ QUARTER = math.pi / 4  # total axis angle of the unbiased H+-
 
 
 def axis(sign=1.0, angle=QUARTER):
-    """(3,) Bloch axis of H(sign) at a total angle."""
-    axis_x, axis_z = projector_axis(sign, angle)
-    return np.array([axis_x, 0.0, axis_z])
+    """(x, z) Bloch axis of H(sign) at a total angle."""
+    return np.array(projector_axis(sign, angle))
 
 
 def bb84(basis, bit):
@@ -20,7 +19,7 @@ def bb84(basis, bit):
 
 
 def measure_rows(r, sign, angle, cfg, rng):
-    """measure_array on (N, 3) rows of Bloch vectors; returns (omega, (N, 3) posteriors)."""
+    """measure_array on (N, 2) rows of (x, z) Bloch components; returns (omega, (N, 2) posteriors)."""
     omega, posterior = measure_array(*np.moveaxis(r, -1, 0), sign, angle, cfg, rng)
     return omega, np.stack(posterior, axis=-1)
 
@@ -30,11 +29,11 @@ def dephasing_factor(g, sigma):
     return math.exp(-(g * g) / (8.0 * sigma * sigma))
 
 
-def dephased_state(r_x, r_y, r_z, sign, angle, cfg):
-    """Pointer-averaged post-measurement (x, y, z) of H(sign) at total axis angles `angle`.
+def dephased_state(r_x, r_z, sign, angle, cfg):
+    """Pointer-averaged post-measurement (x, z) of H(sign) at total axis angles `angle`.
 
     The component along the projector axis is preserved; the perpendicular
-    part (all of y) shrinks by e^{-g^2/8 sigma^2}.  Unlike `measure_array`, no
+    part shrinks by e^{-g^2/8 sigma^2}.  Unlike `measure_array`, no
     device bias_phi or angle noise is added.  The Kraus update of
     `measure_array`, averaged over readings, must reproduce this map.
     """
@@ -42,12 +41,11 @@ def dephased_state(r_x, r_y, r_z, sign, angle, cfg):
     axis_x, axis_z = projector_axis(sign, angle)
     rn = r_x * axis_x + r_z * axis_z
     return (rn * axis_x + f * (r_x - rn * axis_x),
-            f * r_y,
             rn * axis_z + f * (r_z - rn * axis_z))
 
 
 def dephased_row(s, sign, angle, cfg):
-    """dephased_state of one (3,) Bloch vector, as a (3,) array."""
+    """dephased_state of one (x, z) Bloch vector, as a (2,) array."""
     return np.array(dephased_state(*s, sign, angle, cfg))
 
 
@@ -87,7 +85,7 @@ class TestDisturbance:
 
 class TestDephasedState:
     def test_zero_coupling_identity(self):
-        s = np.array([0.3, 0.2, 0.5])
+        s = np.array([0.3, 0.5])
         cfg = PointerConfig(g=0.0, sigma_md=1.0)
         assert np.array_equal(dephased_row(s, 1.0, QUARTER, cfg), s)
 
@@ -145,7 +143,7 @@ class TestSampling:
         # average posterior over many samples -> dephased_state
         rng = np.random.default_rng(6)
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
-        s = np.array([0.4, 0.3, 0.6])
+        s = np.array([0.4, 0.6])
         n = 120_000
         sign = -np.ones(n)
         _, post = measure_rows(
@@ -209,6 +207,6 @@ class TestSampling:
         rng = np.random.default_rng(10)
         r = rng.normal(size=(500, 3))
         r /= np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1.0) * 1.0001
-        _, out = measure_rows(r, np.ones(500), np.full(500, math.pi / 4),
+        _, out = measure_rows(r[:, [0, 2]], np.ones(500), np.full(500, math.pi / 4),
                               PointerConfig(g=0.3, sigma_md=1.0), rng)
         assert np.all(np.linalg.norm(out, axis=1) <= 1 + 1e-9)
