@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bloch import bb84_bloch
 from .estimation import CELLS
 
 INV_2ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
@@ -109,16 +110,12 @@ def intercept_resend_array(r_x, r_z, basis_flags, p_basis, rng, force_z: bool = 
     """
     n = len(basis_flags)
     if force_z:
-        guess = np.zeros(n, dtype=np.uint8)
+        guess, proj = np.zeros(n, dtype=np.uint8), r_z
     else:
-        correct = rng.random(n) < p_basis
-        guess = np.where(correct, basis_flags, 1 - basis_flags).astype(np.uint8)
-    # projection of the state on the measured axis
-    proj = np.where(guess == 0, r_z, r_x)
-    outcome_plus = rng.random(n) < 0.5 * (1.0 + proj)
-    bits = np.where(outcome_plus, 0, 1).astype(np.uint8)
-    sign = np.where(outcome_plus, 1.0, -1.0)
-    return (np.where(guess == 1, sign, 0.0), np.where(guess == 0, sign, 0.0)), bits
+        guess = (basis_flags ^ (rng.random(n) >= p_basis)).astype(np.uint8, copy=False)  # a wrong guess flips it
+        proj = np.where(guess.view(bool), r_x, r_z)  # the state on the measured axis
+    bits = (rng.random(n) >= 0.5 * (1.0 + proj)).view(np.uint8)
+    return bb84_bloch(bits, guess), bits
 
 
 def intercept_resend_mean_state(r_x, r_z, basis_flags, p_basis: float):
@@ -199,7 +196,7 @@ def sample_strategy_fakes(s_a, basis_flags, h_flags, attack: AttackConfig,
     """
     mean, std = _fake_cell_table(attack, g, sigma_md)
     cell = (np.asarray(s_a), np.asarray(basis_flags), np.asarray(h_flags))
-    return mean[cell] + std[cell] * rng.standard_normal(cell[0].shape)
+    return mean[cell] + std[cell] * rng.normal(0.0, 1.0, cell[0].shape)
 
 
 def strategy_fake_cell_laws(attack: AttackConfig, g: float, sigma_md: float):

@@ -28,9 +28,8 @@ def bb84_bloch(bits, basis):
     Basis 0 = Z, 1 = X; bit 0 lies along +axis, bit 1 along -axis, so
     (Z, 0) -> |0>, (Z, 1) -> |1>, (X, 0) -> |+>, (X, 1) -> |->.
     """
-    sign = np.where(bits == 0, 1.0, -1.0)
-    z_basis = basis == 0
-    return np.where(z_basis, 0.0, sign), np.where(z_basis, sign, 0.0)
+    state = 2 * np.asarray(basis) + bits  # |0>, |1>, |+>, |->: a lookup keeps every 0 at +0.0
+    return np.array([0.0, 0.0, 1.0, -1.0]).take(state), np.array([1.0, -1.0, 0.0, 0.0]).take(state)
 
 
 def projector_axis(sign, angle):

@@ -8,13 +8,14 @@ intensity class alone and windows are exchangeable, so each 2^16-signal block
 draws counts first (its per-class sent counts, then each class's photon-click,
 dark-click and no-click counts) and the later stages run on the clicked
 windows only; a run that keeps the full log runs its no-click windows up to
-the weak measurement as a second window set.  Everything is deterministic given the
-master seed: every random stage draws from its own Philox stream keyed by
+the weak measurement as a second window set.  Everything is deterministic given
+the master seed: every random stage draws from its own Philox stream keyed by
 (master_seed, stage tag), one counter range per (block, window set), at the
-set's size.  A run takes each block through every stage on its own, on a
-thread pool of two, so its memory is two blocks' temporaries plus the clicked
-records; the pool returns the records in block order, so the worker count
-never changes a value.
+block's count.  A task takes a group of consecutive blocks expecting about
+_GROUP_WINDOWS clicks through every stage as one set; single blocks run on a
+thread pool of two, so a run's memory is two tasks' temporaries plus the
+clicked records.  The records come back in block order, so neither the worker
+count nor the grouping changes a value.
 
 The analytic mode bypasses sampling: conditioned cell statistics are computed
 in closed form (for an honest device the reading in any cell is the two-branch
@@ -31,7 +32,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -69,9 +70,20 @@ BLOCK_SIZE = 1 << 16
 # deterministic stage streams
 # ---------------------------------------------------------------------------
 
+@cache
 def _stage_tag(stage: str) -> int:
     """A 64-bit digest of the stage name."""
     return int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8).digest(), "little")
+
+
+class _StreamKey(np.random.bit_generator.ISeedSequence):
+    """A Philox key handed over as it is, so building a stream draws no OS entropy."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def stage_block_generator(master_seed: int, stage: str, block: int, part: int = 0) -> np.random.Generator:
@@ -81,9 +93,8 @@ def stage_block_generator(master_seed: int, stage: str, block: int, part: int = 
     [0, 2^64) raises.  A block's clicked windows are part 0 and its no-click
     windows part 1, so keeping the no-click windows moves no clicked value.
     """
-    key = np.array([master_seed, _stage_tag(stage)], dtype=np.uint64)
-    bit_gen = np.random.Philox(key=key, counter=[0, part, block, 0])
-    return np.random.Generator(bit_gen)
+    key = _StreamKey(np.array([master_seed, _stage_tag(stage)], dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(key, counter=[0, part, block, 0]))
 
 
 def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -92,23 +103,51 @@ def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
-def _block_plan(n: int) -> list:
-    """(block, size) pairs covering range(n) in fixed BLOCK_SIZE blocks."""
-    return [(block, min(BLOCK_SIZE, n - lo)) for block, lo in enumerate(range(0, n, BLOCK_SIZE))]
+class _BlockStreams:
+    """One stage's draws for windows of consecutive blocks, called like a Generator.
 
-
-_WORKERS = 2  # blocks in flight at once: numpy's generators and large ufuncs drop the GIL
-
-
-def _map_blocks(task, n: int) -> list:
-    """[task(block, size) for every block of range(n)], in block order.
-
-    The blocks run on a pool of at most _WORKERS threads (fewer when fewer
-    CPUs are usable); a block that raises cancels the blocks not yet started.
+    Each draw joins the blocks' own streams drawn at their counts (the size a
+    caller passes is their sum), so how blocks are grouped moves no value.
     """
+
+    def __init__(self, master_seed: int, stage: str, part: int, blocks, counts):
+        # a block with nothing to draw builds no stream, unless no block has anything
+        kept = [(block, int(count)) for block, count in zip(blocks, counts) if count] or [(blocks[0], 0)]
+        self._streams = [(stage_block_generator(master_seed, stage, block, part), count) for block, count in kept]
+
+    def _draw(self, method, *args):
+        draws = [method(rng, *args, count) for rng, count in self._streams]
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
+
+    def bits(self, size):
+        return self._draw(_random_bits)
+
+    def random(self, size):
+        return self._draw(np.random.Generator.random)
+
+    def normal(self, loc, scale, size):
+        return self._draw(np.random.Generator.normal, loc, scale)
+
+
+# expected clicked windows per task: per-block overhead dominates a lossy block's ~1300
+_GROUP_WINDOWS = 8192
+_WORKERS = 2  # tasks in flight at once: numpy's generators and large ufuncs drop the GIL
+
+
+def _map_blocks(task, n: int, per_task: int = 1) -> list:
+    """[task(group) for each run of per_task consecutive (block, size) pairs of range(n)], in order.
+
+    Single blocks run on a pool of _WORKERS threads when that many CPUs are usable; else,
+    and for groups of several blocks (numpy calls too short for two threads to overlap),
+    the calling thread runs them.  A group that raises leaves the later ones unstarted.
+    """
+    blocks = [(block, min(BLOCK_SIZE, n - lo)) for block, lo in enumerate(range(0, n, BLOCK_SIZE))]
+    groups = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(max(1, min(_WORKERS, cpus))) as pool:
-        return list(pool.map(lambda entry: task(*entry), _block_plan(n)))
+    if per_task > 1 or min(_WORKERS, cpus) < 2:
+        return list(map(task, groups))  # no helper thread, and no second malloc arena to hold its peak
+    with ThreadPoolExecutor(min(_WORKERS, cpus)) as pool:
+        return list(pool.map(task, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +228,21 @@ def _stopwatch(timings: dict):
     return lap
 
 
-def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark, lap=lambda stage: None):
-    """Source, channel, attack and Bob's measurements on one set of a block's windows.
+def _simulate_windows(cfg: ProtocolConfig, blocks, part: int, windows, dark, lap=lambda stage: None):
+    """Source, channel, attack and Bob's measurements on one set of windows of consecutive blocks.
 
-    The set holds windows[c] windows of intensity class c, grouped by class,
-    and the last dark[c] of each class are dark clicks; part 0 is the clicked
-    windows and part 1 the no-click ones.  Every stream is drawn at the set's
-    size.  Returns the set's records (s_a, b, h, omega, s_b, intensity) and its
-    sift tallies (sifted length, errors, Eve's agreements).
+    The set holds windows[i, c] windows of intensity class c from blocks[i],
+    grouped by block, then class; the last dark[i, c] of each are dark clicks.
+    Part 0 is the clicked windows and part 1 the no-click ones.  Returns the
+    set's records (s_a, b, h, omega, s_b, intensity) and its sift tallies
+    (sifted length, errors, Eve's agreements).
     """
     attack = cfg.attack
-    dark_at = np.flatnonzero(np.repeat([False, True] * 3, np.column_stack([windows - dark, dark]).ravel()))
-    stream = partial(stage_block_generator, cfg.master_seed, block=block, part=part)
-    intensity = np.repeat(np.arange(3, dtype=np.uint8), windows)
+    dark_at = np.flatnonzero(np.repeat([False, True] * windows.size, np.stack([windows - dark, dark], -1).ravel()))
+    stream = partial(_BlockStreams, cfg.master_seed, part=part, blocks=blocks, counts=windows.sum(axis=1))
+    intensity = np.repeat(np.tile(np.arange(3, dtype=np.uint8), len(blocks)), windows.ravel())
     n = len(intensity)
-    s_a, b = _random_bits(stream("alice_bits"), n), _random_bits(stream("alice_basis"), n)
+    s_a, b = stream("alice_bits").bits(n), stream("alice_basis").bits(n)
     r = bb84_bloch(s_a, b)
     lap("source")
 
@@ -217,18 +256,18 @@ def _simulate_windows(cfg: ProtocolConfig, block: int, part: int, windows, dark,
     lap("attack")
 
     # Bob: one weak measurement per signal, of H(h) rotated by Eve's bias, then a strong Z
-    h = _random_bits(stream("bob_observable"), n)
+    h = stream("bob_observable").bits(n)
     angle = math.pi / 4
     if attack.strategy == "biased_observables":
         guess_right = stream("eve_observable_guess").random(n) < attack.p_h
         angle = angle + np.where(guess_right, *adv.observable_biases(h, attack))
-    omega, (_, post_z) = measure_array(*r, np.where(h == 0, 1.0, -1.0), angle, cfg.pointer, stream("bob_wm"))
+    omega, (_, post_z) = measure_array(*r, 1.0 - 2.0 * h, angle, cfg.pointer, stream("bob_wm"))
     s_b = (np.full(n, NO_CLICK, dtype=np.int8) if part  # a no-click window has no strong outcome
            else (stream("bob_strong").random(n) < 0.5 * (1.0 - post_z)).view(np.int8))
     if len(dark_at):
         # dark windows carry a photonless pointer record centered at 0 and a coin-flip bit
-        omega[dark_at] = stream("dark_pointer").normal(0.0, cfg.pointer.sigma_md, len(dark_at))
-        s_b[dark_at] = _random_bits(stream("dark_bit"), len(dark_at))
+        omega[dark_at] = stream("dark_pointer", counts=dark.sum(1)).normal(0.0, cfg.pointer.sigma_md, len(dark_at))
+        s_b[dark_at] = stream("dark_bit", counts=dark.sum(1)).bits(len(dark_at))
     if attack.strategy in _FAKED:
         # Eve's agent overwrites the device output for every detection window
         omega = adv.sample_strategy_fakes(
@@ -250,15 +289,17 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     class's photon-click, dark-click and no-click counts: a window clicks by
     its intensity class alone, and windows are exchangeable.  The later stages
     run on the clicked windows only, every stream drawn at their number.  With
-    keep_log the no-click windows run through the same stages up to the weak
-    measurement as a second set on streams of their own, so the clicked
-    records and the report do not change.  A block's records come out grouped: its clicked windows by class
-    (signal, decoy, vacuum), photon clicks before dark clicks, then with
-    keep_log its no-click windows by class.  Only the per-class sent counts,
-    the sift tallies and the kept records outlive a block; the estimation
-    counts the clicks.  Blocks run two at a time on a thread pool
-    (`_map_blocks`), so the stage timings sum both threads' time and can
-    exceed the wall time.
+    keep_log each block's no-click windows run through the same stages up to
+    the weak measurement as a set of their own, on streams of their own, so
+    the clicked records and the report do not change.  A block's records come
+    out grouped: its clicked windows by class (signal, decoy, vacuum), photon
+    clicks before dark clicks, then with keep_log its no-click windows by
+    class.  Only the per-class sent counts, the sift tallies and the kept
+    records outlive a block; the estimation counts the clicks.  The block
+    stays the stream unit, but a task runs the clicked windows of consecutive
+    blocks expecting about _GROUP_WINDOWS clicks as one set (of one block when
+    keep_log measures every window).  Single blocks run two at a time on a
+    thread pool (`_map_blocks`), so the stage timings can exceed the wall time.
     """
     # intensity only gates detection since multi-photon pulses are accounted
     # analytically by the decoy bounds; a window clicks by a photon, else by a
@@ -266,27 +307,31 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     p_photon = -np.expm1(-cfg.system.eta * np.array([cfg.decoy.mu, cfg.decoy.nu, 0.0]))
     p_dark = np.minimum(cfg.system.y0, 1.0 - p_photon)
     outcome_probs = np.column_stack([p_photon, p_dark, np.maximum(1.0 - p_photon - p_dark, 0.0)])
+    expected_clicks = BLOCK_SIZE * float(np.dot(cfg.intensity_probs, p_photon + p_dark))
+    per_task = 1 if keep_log else max(1, int(_GROUP_WINDOWS // max(expected_clicks, 1.0)))
 
-    def run_block(block, size):
-        """One block's records, per-class sent counts, sift tallies and stage timings."""
+    def run_group(group):
+        """A group's records, per-class sent counts, sift tallies and stage timings."""
         timings = dict.fromkeys(STAGES, 0.0)
         lap = _stopwatch(timings)
-        sent = stage_block_generator(cfg.master_seed, "intensity", block).multinomial(size, cfg.intensity_probs)
+        blocks = [block for block, _ in group]
+        sent = np.array([stage_block_generator(cfg.master_seed, "intensity", block).multinomial(
+            size, cfg.intensity_probs) for block, size in group])
         lap("source")
-        photon, dark, unclicked = stage_block_generator(cfg.master_seed, "detection", block).multinomial(
-            sent, outcome_probs).T
+        photon, dark, unclicked = np.array([stage_block_generator(cfg.master_seed, "detection", block).multinomial(
+            block_sent, outcome_probs) for block, block_sent in zip(blocks, sent)]).transpose(2, 0, 1)
         lap("detection")
-        sets = [_simulate_windows(cfg, block, 0, photon + dark, dark, lap)]
-        if keep_log:
-            sets.append(_simulate_windows(cfg, block, 1, unclicked, np.zeros_like(unclicked), lap))
-        return sets, sent, timings
+        sets = [_simulate_windows(cfg, blocks, 0, photon + dark, dark, lap)]
+        if keep_log:  # a group of one block
+            sets.append(_simulate_windows(cfg, blocks, 1, unclicked, np.zeros_like(unclicked), lap))
+        return sets, sent.sum(axis=0), timings
 
-    blocks = _map_blocks(run_block, cfg.n_signals)
-    timings = {stage: sum(t[stage] for _, _, t in blocks) for stage in STAGES}
+    groups = _map_blocks(run_group, cfg.n_signals, per_task)
+    timings = {stage: sum(t[stage] for _, _, t in groups) for stage in STAGES}
     lap = _stopwatch(timings)
-    sent = sum(sent for _, sent, _ in blocks)
-    records, tallies = zip(*(window_set for sets, _, _ in blocks for window_set in sets))
-    del blocks
+    sent = sum(sent for _, sent, _ in groups)
+    records, tallies = zip(*(window_set for sets, _, _ in groups for window_set in sets))
+    del groups
     key_len, errors, eve_agreements = map(sum, zip(*tallies))
     log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
     del records  # the log holds copies
@@ -338,10 +383,9 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     window is a signal-class photon click.
     """
     cfg = ProtocolConfig(n_signals=n, master_seed=master_seed, pointer=pointer, channel=channel)
-    no_dark = np.zeros(3, dtype=np.int64)
-
-    def block_records(block, size):
-        return _simulate_windows(cfg, block, 0, np.array([size, 0, 0]), no_dark)[0]
+    def block_records(group):
+        windows = np.array([[size, 0, 0] for _, size in group])
+        return _simulate_windows(cfg, [block for block, _ in group], 0, windows, np.zeros_like(windows))[0]
 
     return SignalLog(*(np.concatenate(column) for column in zip(*_map_blocks(block_records, n))))
 

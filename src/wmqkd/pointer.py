@@ -92,7 +92,7 @@ def sample_readings(p_expectations, g, sigma, rng):
     """Draw pointer readings from the two-branch mixture (vectorised)."""
     p = np.asarray(p_expectations, dtype=float)
     shifted = rng.random(p.shape) < p
-    return rng.normal(0.0, sigma, p.shape) + np.where(shifted, g, 0.0)
+    return rng.normal(0.0, sigma, p.shape) + shifted * g
 
 
 def measure_array(r_x, r_z, sign, angle, cfg: PointerConfig, rng):

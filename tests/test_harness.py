@@ -78,6 +78,29 @@ class TestStreams:
         key = stage_block_generator(5, stage, 0).bit_generator.state["state"]["key"]
         assert [int(word) for word in key] == [5, digest]
 
+    @pytest.mark.parametrize("seed", [0, 2**53, 2**64 - 1])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_stream_is_the_philox_keyed_by_seed_and_tag(self, seed, part):
+        block = 2**40 + 3
+        got = stage_block_generator(seed, "bob_wm", block, part)
+        key = np.array([seed, harness._stage_tag("bob_wm")], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key, counter=[0, part, block, 0]))
+        assert got.random(7).tobytes() == want.random(7).tobytes()
+        assert got.normal(0.0, 2.0, 7).tobytes() == want.normal(0.0, 2.0, 7).tobytes()
+        assert got.bit_generator.random_raw(3).tobytes() == want.bit_generator.random_raw(3).tobytes()
+
+    def test_a_run_draws_no_os_entropy(self, monkeypatch):
+        # numpy seeds a SeedSequence from OS entropy for a Philox built from
+        # key= alone; a stream keyed directly never asks for any
+        def refuse(*args):
+            raise AssertionError("a stream drew OS entropy")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.Philox(key=[1, 2])
+        run_protocol(small_cfg(n_signals=3000, system=SystemParams(y0=0.05)), keep_log=True)
+        channel_estimation_log(ChannelModel(0.1), PointerConfig(0.05, 1.0, sigma_phi=0.1), 3000, 7)
+
     def test_random_bits_are_packed_64_to_a_word(self):
         rng, words = stage_block_generator(3, "alice_bits", 0), stage_block_generator(3, "alice_bits", 0)
         bits = harness._random_bits(rng, 130)
@@ -94,9 +117,9 @@ class TestStreams:
 
 
 class TwoWorkers:
-    """Blocks run on the caller plus one helper thread.
+    """Single blocks run on a pool of two threads.
 
-    A subclass that sets workers = 1 runs the same tests on the caller alone.
+    A subclass that sets workers = 1 runs the same tests on the calling thread alone.
     """
 
     workers = 2
@@ -153,17 +176,21 @@ def test_map_blocks_returns_block_order(monkeypatch, workers):
     monkeypatch.setattr(harness, "_WORKERS", workers)
     finished = []
 
-    def task(block, size):
-        if block == 0:
-            time.sleep(0.1)  # with a second thread, the later blocks finish first
-        finished.append(block)
-        return block, size
+    def task(group):
+        if group[0][0] == 0:
+            time.sleep(0.1)  # with a second thread, the later groups finish first
+        finished.append(group[0][0])
+        return group
 
     n = 3 * BLOCK_SIZE + 5
-    assert harness._map_blocks(task, n) == [(0, BLOCK_SIZE), (1, BLOCK_SIZE), (2, BLOCK_SIZE), (3, 5)]
-    assert sorted(finished) == [0, 1, 2, 3]
+    blocks = [(0, BLOCK_SIZE), (1, BLOCK_SIZE), (2, BLOCK_SIZE), (3, 5)]
+    assert harness._map_blocks(task, n) == [[block] for block in blocks]
+    assert harness._map_blocks(task, n, per_task=3) == [blocks[:3], blocks[3:]]
+    assert harness._map_blocks(task, n, per_task=9) == [blocks]
+    assert sorted(finished) == [0, 0, 0, 1, 2, 3, 3]
     if workers == 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        assert finished[-1] == 0
+        assert finished[:4] == [1, 2, 3, 0]
+    assert finished[4:6] == [0, 3]  # groups of several blocks run on one thread
 
 
 def reference_cell_expectations(cfg, attack):
@@ -239,6 +266,10 @@ def pipeline_cfg(strategy, system):
                           system=PIPELINE_SYSTEMS[system], **device)
 
 
+# _GROUP_WINDOWS settings: one block per task, the default, the whole run in one task
+GROUPINGS = {"one_block": 0, "default": harness._GROUP_WINDOWS, "whole_run": 1 << 62}
+
+
 def run_fields(result):
     return (result.report.to_text(), result.sifted_key_length, result.ground_truth_sifted_error,
             result.eve_sifted_knowledge, result.key_rate)
@@ -253,14 +284,18 @@ def assert_same_log(got, want):
 @pytest.mark.parametrize("system", sorted(PIPELINE_SYSTEMS))
 @pytest.mark.parametrize("strategy", sorted(PIPELINE_ATTACKS))
 def test_worker_count_does_not_change_the_run(monkeypatch, strategy, system):
+    # nor does the number of blocks a task simulates at once; TestBlockPipeline
+    # runs the kept log at each grouping
     cfg = pipeline_cfg(strategy, system)
-    runs = []
+    kept, runs = [], []
     for workers in (1, 2):
         monkeypatch.setattr(harness, "_WORKERS", workers)
-        runs.append((run_protocol(cfg), run_protocol(cfg, keep_log=True)))
-    (one, one_kept), (two, two_kept) = runs
-    assert run_fields(one) == run_fields(two) == run_fields(two_kept)
-    assert_same_log(one_kept.log, two_kept.log)
+        kept.append(run_protocol(cfg, keep_log=True))
+        for grouping in GROUPINGS.values():
+            monkeypatch.setattr(harness, "_GROUP_WINDOWS", grouping)
+            runs.append(run_fields(run_protocol(cfg)))
+    assert runs == [run_fields(kept[0])] * len(runs) and run_fields(kept[1]) == runs[0]
+    assert_same_log(*(result.log for result in kept))
 
 
 def test_worker_count_does_not_change_the_estimation_bench(monkeypatch):
@@ -274,9 +309,11 @@ def test_worker_count_does_not_change_the_estimation_bench(monkeypatch):
 
 
 class TestBlockPipeline(TwoWorkers):
+    @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
     @pytest.mark.parametrize("system", sorted(PIPELINE_SYSTEMS))
     @pytest.mark.parametrize("strategy", sorted(PIPELINE_ATTACKS))
-    def test_kept_log_is_the_run_plus_its_no_click_windows(self, strategy, system):
+    def test_kept_log_is_the_run_plus_its_no_click_windows(self, monkeypatch, strategy, system, grouping):
+        monkeypatch.setattr(harness, "_GROUP_WINDOWS", GROUPINGS[grouping])
         cfg = pipeline_cfg(strategy, system)
         result, kept = run_protocol(cfg), run_protocol(cfg, keep_log=True)
         assert run_fields(kept) == run_fields(result)

@@ -26,6 +26,7 @@ EXEMPT = {
     "true_error_rates": "the paper's delta_X, delta_Z definitions of a channel",
     "merge_moments": "the per-block moment fold of ROADMAP item 4",
     "channel_estimation_log": "the loss-free estimation bench",
+    "generate_state": "numpy calls it to key a stream's Philox (harness._StreamKey)",
 }
 
 
