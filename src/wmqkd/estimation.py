@@ -237,24 +237,36 @@ class ConditionedStats:
     count: np.ndarray
 
 
+_CHUNK = 1 << 15  # records conditioned at a time, so a chunk's temporaries stay in cache
+
+
 def condition_and_average(log: SignalLog) -> list[ConditionedStats]:
     """Exact sample moments of the readings in the 8 (bit, basis, observable)
-    cells of every intensity class, in one pass over the clicked records.
+    cells of every intensity class, over the clicked records, in two chunked
+    passes (sums, then squared deviations) that add each reading into its cell
+    in record order, as one whole-log pass would, with no full-length copy.
 
     Returns one entry per class code.  A cell with fewer than two readings
     cannot be estimated: its variance is NaN, and so is its mean when it is
     empty.  No-click records are skipped.
     """
-    clicked = log.clicked
-    code = (log.intensity * 8 + log.s_a * 4 + log.b * 2 + log.h)[clicked]  # uint8: at most 23
-    omega = log.omega[clicked]
-    counts = np.bincount(code, minlength=24).astype(float)
-    sums = np.bincount(code, weights=omega, minlength=24)
+    def clicked_chunks():
+        """(cell code, reading) of the clicked records by chunk; views where all clicked."""
+        for rows in (slice(lo, lo + _CHUNK) for lo in range(0, len(log), _CHUNK)):
+            code = log.intensity[rows] * 8 + log.s_a[rows] * 4 + log.b[rows] * 2 + log.h[rows]  # uint8: at most 23
+            clicked = log.s_b[rows] != NO_CLICK
+            keep = slice(None) if clicked.all() else clicked
+            yield code[keep].astype(np.intp), log.omega[rows][keep]
+
+    counts, sums, m2 = np.zeros(24), np.zeros(24), np.zeros(24)
+    for code, omega in clicked_chunks():
+        counts += np.bincount(code, minlength=24)
+        np.add.at(sums, code, omega)
     with np.errstate(divide="ignore", invalid="ignore"):  # a class may have empty cells
         means = sums / counts
-        omega -= means[code]  # squared deviations in the gathered copy: one float64 less per record
-        omega *= omega
-        m2 = np.bincount(code, weights=omega, minlength=24)
+        for code, omega in clicked_chunks():
+            deviation = omega - means[code]
+            np.add.at(m2, code, deviation * deviation)
         var = np.where(counts > 1, m2 / (counts - 1.0), np.nan)
     cells = (3, 2, 2, 2)  # class, bit, basis, observable
     return [ConditionedStats(m, v, n)

@@ -11,11 +11,12 @@ windows only; a run that keeps the full log runs its no-click windows up to
 the weak measurement as a second window set.  Everything is deterministic given
 the master seed: every random stage draws from its own Philox stream keyed by
 (master_seed, stage tag), one counter range per (block, window set), at the
-block's count.  A task takes a group of consecutive blocks expecting about
-_GROUP_WINDOWS clicks through every stage as one set; single blocks run on a
-thread pool of two, so a run's memory is two tasks' temporaries plus the
-clicked records.  The records come back in block order, so neither the worker
-count nor the grouping changes a value.
+block's count.  All counts come first, so each record is written once, at
+its place in a log sized from them.  A task takes a group of consecutive
+blocks expecting about _GROUP_WINDOWS clicks through every stage as one set;
+single blocks run on a thread pool of two, so a run's memory is the kept
+records plus two tasks' temporaries.  No value depends on the worker count
+or the grouping.
 
 The analytic mode bypasses sampling: conditioned cell statistics are computed
 in closed form (for an honest device the reading in any cell is the two-branch
@@ -43,6 +44,7 @@ from .estimation import (
     NO_CLICK,
     EstimationReport,
     EstimationThresholds,
+    _COLUMN_DTYPES,
     SignalLog,
     build_report,
     dark_count_fraction,
@@ -134,17 +136,15 @@ _GROUP_WINDOWS = 8192
 _WORKERS = 2  # tasks in flight at once: numpy's generators and large ufuncs drop the GIL
 
 
-def _map_blocks(task, n: int, per_task: int = 1) -> list:
-    """[task(group) for each run of per_task consecutive (block, size) pairs of range(n)], in order.
+def _map_blocks(task, groups: list[range]) -> list:
+    """[task(group) for group in groups], in order.
 
     Single blocks run on a pool of _WORKERS threads when that many CPUs are usable; else,
     and for groups of several blocks (numpy calls too short for two threads to overlap),
     the calling thread runs them.  A group that raises leaves the later ones unstarted.
     """
-    blocks = [(block, min(BLOCK_SIZE, n - lo)) for block, lo in enumerate(range(0, n, BLOCK_SIZE))]
-    groups = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if per_task > 1 or min(_WORKERS, cpus) < 2:
+    if len(groups[0]) > 1 or min(_WORKERS, cpus) < 2:
         return list(map(task, groups))  # no helper thread, and no second malloc arena to hold its peak
     with ThreadPoolExecutor(min(_WORKERS, cpus)) as pool:
         return list(pool.map(task, groups))
@@ -228,14 +228,14 @@ def _stopwatch(timings: dict):
     return lap
 
 
-def _simulate_windows(cfg: ProtocolConfig, blocks, part: int, windows, dark, lap=lambda stage: None):
+def _simulate_windows(cfg: ProtocolConfig, blocks, part: int, windows, dark, out, lap):
     """Source, channel, attack and Bob's measurements on one set of windows of consecutive blocks.
 
     The set holds windows[i, c] windows of intensity class c from blocks[i],
     grouped by block, then class; the last dark[i, c] of each are dark clicks.
-    Part 0 is the clicked windows and part 1 the no-click ones.  Returns the
-    set's records (s_a, b, h, omega, s_b, intensity) and its sift tallies
-    (sifted length, errors, Eve's agreements).
+    Part 0 is the clicked windows and part 1 the no-click ones.  Writes the
+    set's records into `out`, its slices of the log's six columns, and returns
+    its sift tallies (sifted length, errors, Eve's agreements).
     """
     attack = cfg.attack
     dark_at = np.flatnonzero(np.repeat([False, True] * windows.size, np.stack([windows - dark, dark], -1).ravel()))
@@ -243,10 +243,11 @@ def _simulate_windows(cfg: ProtocolConfig, blocks, part: int, windows, dark, lap
     intensity = np.repeat(np.tile(np.arange(3, dtype=np.uint8), len(blocks)), windows.ravel())
     n = len(intensity)
     s_a, b = stream("alice_bits").bits(n), stream("alice_basis").bits(n)
-    r = bb84_bloch(s_a, b)
+    state = 2 * b + s_a
     lap("source")
 
-    r = cfg.channel.apply_array(*r)
+    # the channel acts on the four BB84 states |0>, |1>, |+>, |->, and each window takes its state's image
+    r = [image.take(state) for image in cfg.channel.apply_array(*bb84_bloch(np.arange(4) % 2, np.arange(4) // 2))]
     lap("channel")
 
     eve_bits = None
@@ -272,6 +273,8 @@ def _simulate_windows(cfg: ProtocolConfig, blocks, part: int, windows, dark, lap
         # Eve's agent overwrites the device output for every detection window
         omega = adv.sample_strategy_fakes(
             s_a, b, h, attack, cfg.pointer.g, cfg.pointer.sigma_md, stream("eve_fakes"))
+    for column, values in zip(out, (s_a, b, h, omega, s_b, intensity)):
+        column[:] = values
     lap("measurement")
 
     # ground truth from the oracle's side of the fence
@@ -279,7 +282,32 @@ def _simulate_windows(cfg: ProtocolConfig, blocks, part: int, windows, dark, lap
     tallies = (int(np.count_nonzero(sift)), int(np.count_nonzero(sift & (s_a != s_b))),
                int(np.count_nonzero(sift & (eve_bits == s_b))) if eve_bits is not None else 0)
     lap("rates")
-    return (s_a, b, h, omega, s_b, intensity), tallies
+    return tallies
+
+
+def _simulate_log(cfg: ProtocolConfig, timings: dict, clicked, dark, unclicked=None, per_task: int = 1):
+    """Run each block's clicked windows (clicked[block, c] of class c, the last dark[block, c]
+    of them dark), then its no-click ones if unclicked counts them, into one log sized from
+    the counts; tasks of per_task blocks each write their own slices.  Adds the tasks' stage
+    times to timings; returns the log and the summed sift tallies."""
+    start = np.concatenate([[0], np.cumsum(clicked.sum(1) + (0 if unclicked is None else unclicked.sum(1)))])
+    columns = [np.empty(start[-1], dtype) for dtype in _COLUMN_DTYPES.values()]
+
+    def run_group(group):
+        """The group's sift tallies and stage timings."""
+        group_timings = dict.fromkeys(STAGES, 0.0)
+        lap = _stopwatch(group_timings)
+        rows, lo, hi = slice(group.start, group.stop), start[group.start], start[group.stop]
+        mid = lo + clicked[rows].sum()
+        tallies = _simulate_windows(cfg, group, 0, clicked[rows], dark[rows], [c[lo:mid] for c in columns], lap)
+        if unclicked is not None:  # no-click windows sift nothing
+            _simulate_windows(cfg, group, 1, unclicked[rows], 0 * unclicked[rows], [c[mid:hi] for c in columns], lap)
+        return tallies, group_timings
+
+    groups = [range(lo, min(lo + per_task, len(clicked))) for lo in range(0, len(clicked), per_task)]
+    tallies, group_timings = zip(*_map_blocks(run_group, groups))
+    timings.update({stage: timings[stage] + sum(t[stage] for t in group_timings) for stage in STAGES})
+    return SignalLog(*columns), tuple(map(sum, zip(*tallies)))
 
 
 def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
@@ -287,17 +315,17 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
 
     Each BLOCK_SIZE block first draws its per-class sent counts and then each
     class's photon-click, dark-click and no-click counts: a window clicks by
-    its intensity class alone, and windows are exchangeable.  The later stages
-    run on the clicked windows only, every stream drawn at their number.  With
-    keep_log each block's no-click windows run through the same stages up to
-    the weak measurement as a set of their own, on streams of their own, so
-    the clicked records and the report do not change.  A block's records come
-    out grouped: its clicked windows by class (signal, decoy, vacuum), photon
-    clicks before dark clicks, then with keep_log its no-click windows by
-    class.  Only the per-class sent counts, the sift tallies and the kept
-    records outlive a block; the estimation counts the clicks.  The block
-    stays the stream unit, but a task runs the clicked windows of consecutive
-    blocks expecting about _GROUP_WINDOWS clicks as one set (of one block when
+    its intensity class alone, and windows are exchangeable.  All counts come
+    first, so the log is allocated once from them and each task writes its
+    records into its own slices.  The later stages run on the clicked windows
+    only, every stream drawn at their number.  With keep_log each block's
+    no-click windows run through the same stages up to the weak measurement
+    as a set of their own, on streams of their own, so the clicked records and
+    the report do not change.  A block's records come out grouped: its clicked
+    windows by class (signal, decoy, vacuum), photon clicks before dark
+    clicks, then with keep_log its no-click windows by class.  The block stays
+    the stream unit, but a task runs the clicked windows of consecutive blocks
+    expecting about _GROUP_WINDOWS clicks as one set (of one block when
     keep_log measures every window).  Single blocks run two at a time on a
     thread pool (`_map_blocks`), so the stage timings can exceed the wall time.
     """
@@ -310,32 +338,19 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     expected_clicks = BLOCK_SIZE * float(np.dot(cfg.intensity_probs, p_photon + p_dark))
     per_task = 1 if keep_log else max(1, int(_GROUP_WINDOWS // max(expected_clicks, 1.0)))
 
-    def run_group(group):
-        """A group's records, per-class sent counts, sift tallies and stage timings."""
-        timings = dict.fromkeys(STAGES, 0.0)
-        lap = _stopwatch(timings)
-        blocks = [block for block, _ in group]
-        sent = np.array([stage_block_generator(cfg.master_seed, "intensity", block).multinomial(
-            size, cfg.intensity_probs) for block, size in group])
-        lap("source")
-        photon, dark, unclicked = np.array([stage_block_generator(cfg.master_seed, "detection", block).multinomial(
-            block_sent, outcome_probs) for block, block_sent in zip(blocks, sent)]).transpose(2, 0, 1)
-        lap("detection")
-        sets = [_simulate_windows(cfg, blocks, 0, photon + dark, dark, lap)]
-        if keep_log:  # a group of one block
-            sets.append(_simulate_windows(cfg, blocks, 1, unclicked, np.zeros_like(unclicked), lap))
-        return sets, sent.sum(axis=0), timings
-
-    groups = _map_blocks(run_group, cfg.n_signals, per_task)
-    timings = {stage: sum(t[stage] for _, _, t in groups) for stage in STAGES}
+    timings = dict.fromkeys(STAGES, 0.0)
     lap = _stopwatch(timings)
-    sent = sum(sent for _, sent, _ in groups)
-    records, tallies = zip(*(window_set for sets, _, _ in groups for window_set in sets))
-    del groups
-    key_len, errors, eve_agreements = map(sum, zip(*tallies))
-    log = SignalLog(*(np.concatenate(column) for column in zip(*records)))
-    del records  # the log holds copies
-    report = build_report(log, cfg.resolved_thresholds(), sent=sent)
+    sizes = np.diff(np.r_[0:cfg.n_signals:BLOCK_SIZE, cfg.n_signals])  # each block's signals
+    sent = np.array([stage_block_generator(cfg.master_seed, "intensity", block).multinomial(
+        size, cfg.intensity_probs) for block, size in enumerate(sizes)])
+    lap("source")
+    photon, dark, unclicked = np.array([stage_block_generator(cfg.master_seed, "detection", block).multinomial(
+        block_sent, outcome_probs) for block, block_sent in enumerate(sent)]).transpose(2, 0, 1)
+    lap("detection")
+    log, (key_len, errors, eve_agreements) = _simulate_log(
+        cfg, timings, photon + dark, dark, unclicked if keep_log else None, per_task)
+    lap = _stopwatch(timings)
+    report = build_report(log, cfg.resolved_thresholds(), sent=sent.sum(axis=0))
     lap("estimation")
 
     eve_on_channel = cfg.attack.strategy in _ON_CHANNEL
@@ -383,11 +398,8 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
     window is a signal-class photon click.
     """
     cfg = ProtocolConfig(n_signals=n, master_seed=master_seed, pointer=pointer, channel=channel)
-    def block_records(group):
-        windows = np.array([[size, 0, 0] for _, size in group])
-        return _simulate_windows(cfg, [block for block, _ in group], 0, windows, np.zeros_like(windows))[0]
-
-    return SignalLog(*(np.concatenate(column) for column in zip(*_map_blocks(block_records, n))))
+    clicked = np.diff(np.r_[0:n:BLOCK_SIZE, n])[:, None] * [1, 0, 0]  # each block's signals, all of class 0
+    return _simulate_log(cfg, dict.fromkeys(STAGES, 0.0), clicked, 0 * clicked)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -110,18 +110,24 @@ def measure_array(r_x, r_z, sign, angle, cfg: PointerConfig, rng):
     axis_x, axis_z = projector_axis(sign, angle)
     rn = r_x * axis_x + r_z * axis_z
     omega = sample_readings(0.5 * (1.0 + rn), cfg.g, cfg.sigma_md, rng)
-    # Kraus update: branch weights a <-> P_perp (no shift), b <-> P (shift g)
-    g, sigma = cfg.g, cfg.sigma_md
-    w_a = omega**2
-    w_b = (omega - g) ** 2
-    a2 = np.exp(-w_a / (2.0 * sigma * sigma))
-    b2 = np.exp(-w_b / (2.0 * sigma * sigma))
-    ab = np.exp(-(w_a + w_b) / (4.0 * sigma * sigma))
-    weight_a = a2 * (1.0 - rn)
-    weight_b = b2 * (1.0 + rn)
-    norm = 0.5 * (weight_a + weight_b)
-    out_n = (weight_b - weight_a) / (2.0 * norm)
+    # Kraus update in place, by the textbook formulas' IEEE operations on each element (a sign flip
+    # and the order of one + or * are exact): weights a <-> P_perp (no shift), b <-> P (shift g)
+    sigma = cfg.sigma_md
+    a, b = omega * omega, omega - cfg.g
+    b *= b
+    ab = a + b                                       # the exponent of the overlap's numerator
+    for w, scale in ((a, 2.0), (b, 2.0), (ab, 4.0)):
+        np.exp(np.divide(w, -(scale * sigma * sigma), out=w), out=w)
+    norm = 1.0 - rn
+    a *= norm                                        # weight_a = a2 (1 - rn)
+    b *= np.add(rn, 1.0, out=norm)                   # weight_b = b2 (1 + rn)
+    norm = np.multiply(np.add(a, b, out=norm), 0.5, out=norm)
+    b -= a
+    b /= np.multiply(norm, 2.0, out=a)               # the axis component (weight_b - weight_a) / (2 norm)
+    ab /= norm                                       # the branch overlap
     # the axis component is filtered, the perpendicular part scaled by the overlap
-    overlap = ab / norm
-    return omega, (out_n * axis_x + overlap * (r_x - rn * axis_x),
-                   out_n * axis_z + overlap * (r_z - rn * axis_z))
+    posterior = [np.subtract(r, rn * axis) for r, axis in ((r_x, axis_x), (r_z, axis_z))]
+    for component, axis in zip(posterior, (axis_x, axis_z)):
+        component *= ab
+        component += np.multiply(b, axis, out=a)
+    return omega, tuple(posterior)

@@ -136,9 +136,47 @@ class TestConditioning:
         assert np.array_equal(np.isnan(vacuum.mean), vacuum.count == 0)
         assert np.array_equal(np.isnan(vacuum.var), vacuum.count < 2)
 
+    def test_chunked_passes_match_whole_array_reference(self):
+        # the whole-array conditioning that the chunked passes replaced: each cell's
+        # sum and squared deviations are added in record order by both
+        def whole_array(log):
+            clicked = log.clicked
+            code = (log.intensity * 8 + log.s_a * 4 + log.b * 2 + log.h)[clicked]
+            omega = log.omega[clicked]
+            counts = np.bincount(code, minlength=24).astype(float)
+            sums = np.bincount(code, weights=omega, minlength=24)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                means = sums / counts
+                omega -= means[code]
+                omega *= omega
+                m2 = np.bincount(code, weights=omega, minlength=24)
+                var = np.where(counts > 1, m2 / (counts - 1.0), np.nan)
+            return [(m, v, n) for m, v, n in zip(means.reshape(3, 8), var.reshape(3, 8), counts.reshape(3, 8))]
+
+        chunk = estimation._CHUNK
+        n = 3 * chunk + 1234  # a short last chunk
+        rng = np.random.default_rng(91)
+        intensity = rng.integers(0, 2, n).astype(np.uint8)
+        log = make_log(n=n, seed=10, intensity=intensity)
+        log.omega[:] = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)  # sums that round
+        log.s_b[:chunk][rng.random(chunk) < 0.3] = -1  # one chunk with no-click records, the rest views
+        log.s_b[-1000:][rng.random(1000) < 0.5] = -1
+        # three vacuum readings: two in one cell, one in another, six cells empty
+        at = [5, chunk + 7, n - 3]
+        log.intensity[at], log.s_b[at] = INTENSITY_VACUUM, 0
+        log.s_a[at], log.b[at], log.h[at] = [0, 0, 1], [0, 0, 1], [0, 0, 1]
+        omega = log.omega.copy()
+        got = condition_and_average(log)
+        assert log.omega.tobytes() == omega.tobytes()  # the views are read, never written
+        for code, (stats, want) in enumerate(zip(got, whole_array(log))):
+            for name, values in zip(("mean", "var", "count"), want):
+                assert getattr(stats, name).ravel().tobytes() == values.tobytes(), (code, name)
+        vacuum = got[INTENSITY_VACUUM].count.ravel()
+        assert vacuum[0] == 2 and vacuum[7] == 1 and vacuum.sum() == 3
+
     def test_clicked_log_peak_memory(self):
-        # the records are 11 B each; the gathered readings (8 B) double as the
-        # squared deviations, so the peak stays under three float64 per record
+        # the records are 11 B each; the moments are taken a chunk at a time,
+        # so the peak stays far under three float64 per record
         n = 1 << 18
         log = make_log(n=n, seed=7)  # every record clicked
         omega = log.omega.copy()

@@ -177,16 +177,15 @@ def test_map_blocks_returns_block_order(monkeypatch, workers):
     finished = []
 
     def task(group):
-        if group[0][0] == 0:
+        if group[0] == 0:
             time.sleep(0.1)  # with a second thread, the later groups finish first
-        finished.append(group[0][0])
+        finished.append(group[0])
         return group
 
-    n = 3 * BLOCK_SIZE + 5
-    blocks = [(0, BLOCK_SIZE), (1, BLOCK_SIZE), (2, BLOCK_SIZE), (3, 5)]
-    assert harness._map_blocks(task, n) == [[block] for block in blocks]
-    assert harness._map_blocks(task, n, per_task=3) == [blocks[:3], blocks[3:]]
-    assert harness._map_blocks(task, n, per_task=9) == [blocks]
+    singles = [range(block, block + 1) for block in range(4)]
+    assert harness._map_blocks(task, singles) == singles
+    assert harness._map_blocks(task, [range(3), range(3, 4)]) == [range(3), range(3, 4)]
+    assert harness._map_blocks(task, [range(4)]) == [range(4)]
     assert sorted(finished) == [0, 0, 0, 1, 2, 3, 3]
     if workers == 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
         assert finished[:4] == [1, 2, 3, 0]
@@ -340,6 +339,26 @@ class TestBlockPipeline(TwoWorkers):
         finally:
             tracemalloc.stop()
         assert peak / n < 40.0
+
+    def test_traced_peak_is_the_log_and_two_tasks(self, monkeypatch):
+        # the log is allocated once from the counts and written in place: no
+        # second copy of the records, so the peak is the log (13 B per record)
+        # plus a bounded number of tasks' temporaries
+        records = []
+        report = harness.build_report
+
+        def count_records(log, *args, **kwargs):
+            records.append(len(log))
+            return report(log, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_report", count_records)
+        tracemalloc.start()
+        try:
+            run_protocol(ProtocolConfig(n_signals=1 << 23, master_seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 13 * records[0]
 
 
 class TestBlockPipelineOneWorker(TestBlockPipeline):

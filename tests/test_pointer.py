@@ -210,3 +210,53 @@ class TestSampling:
         _, out = measure_rows(r[:, [0, 2]], np.ones(500), np.full(500, math.pi / 4),
                               PointerConfig(g=0.3, sigma_md=1.0), rng)
         assert np.all(np.linalg.norm(out, axis=1) <= 1 + 1e-9)
+
+
+def reference_measure_array(r_x, r_z, sign, angle, cfg, rng):
+    """measure_array as the textbook formulas, one new array per operation: the
+    in-place update must give the same bits."""
+    sign = np.asarray(sign, dtype=float)
+    angle = np.asarray(angle, dtype=float) + cfg.bias_phi
+    if cfg.sigma_phi > 0:
+        angle = angle + rng.normal(0.0, cfg.sigma_phi, sign.shape)
+    axis_x, axis_z = projector_axis(sign, angle)
+    rn = r_x * axis_x + r_z * axis_z
+    p = 0.5 * (1.0 + rn)
+    shifted = rng.random(p.shape) < p
+    omega = rng.normal(0.0, cfg.sigma_md, p.shape) + shifted * cfg.g
+    g, sigma = cfg.g, cfg.sigma_md
+    w_a = omega**2
+    w_b = (omega - g) ** 2
+    a2 = np.exp(-w_a / (2.0 * sigma * sigma))
+    b2 = np.exp(-w_b / (2.0 * sigma * sigma))
+    ab = np.exp(-(w_a + w_b) / (4.0 * sigma * sigma))
+    weight_a = a2 * (1.0 - rn)
+    weight_b = b2 * (1.0 + rn)
+    norm = 0.5 * (weight_a + weight_b)
+    out_n = (weight_b - weight_a) / (2.0 * norm)
+    overlap = ab / norm
+    return omega, (out_n * axis_x + overlap * (r_x - rn * axis_x),
+                   out_n * axis_z + overlap * (r_z - rn * axis_z))
+
+
+class TestInPlaceUpdate:
+    @pytest.mark.parametrize("n, cfg, per_window", [
+        (5000, PointerConfig(0.05, 1.0), False),
+        (5000, PointerConfig(0.3, 0.7, bias_phi=0.01), True),
+        (5000, PointerConfig(0.2, 1.3, sigma_phi=0.4, bias_phi=-0.02), True),
+        (5000, PointerConfig(0.2, 1.3, sigma_phi=0.4), False),
+        (1, PointerConfig(0.05, 1.0, sigma_phi=0.2), True),
+    ])
+    def test_matches_out_of_place_reference(self, n, cfg, per_window):
+        rng = np.random.default_rng(n + int(per_window))
+        r = rng.normal(size=(2, n))
+        r /= np.maximum(np.hypot(*r), 1.0) * 1.0001
+        r[:, : n // 2] = bb84_bloch(rng.integers(0, 2, n // 2), rng.integers(0, 2, n // 2))
+        sign = 1.0 - 2.0 * rng.integers(0, 2, n)
+        angle = QUARTER + rng.normal(0.0, 0.1, n) if per_window else QUARTER
+        got = measure_array(*r, sign, angle, cfg, np.random.default_rng(5))
+        want = reference_measure_array(*r, sign, angle, cfg, np.random.default_rng(5))
+        assert got[0].tobytes() == want[0].tobytes()
+        for component, reference in zip(got[1], want[1]):
+            assert component.shape == (n,)
+            assert component.tobytes() == reference.tobytes()
