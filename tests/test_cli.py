@@ -156,9 +156,10 @@ class TestRunCommand:
         assert qber > 0.2
 
     @pytest.mark.parametrize("settings, failing", [
-        # at n = 2000 the coupling estimate is negative on about half the seeds,
-        # seed 1 among them; 150 km leaves signal cells empty
-        ("[run]\nn_signals = 2000\nmaster_seed = 1\n", ("couplings_bounded", "variances_bounded")),
+        # three windows leave a signal cell of each observable empty on every
+        # stream, so both couplings and every check are NaN; 150 km leaves
+        # signal cells empty
+        ("[run]\nn_signals = 3\n", CHECK_NAMES),
         ("[run]\nn_signals = 200000\n[system]\neta_d = 0.145\ndistance_km = 150\n", CHECK_NAMES),
     ], ids=["tiny_n", "150km"])
     def test_unestimable_run_is_an_abort(self, tmp_path, settings, failing):
@@ -176,6 +177,21 @@ class TestRunCommand:
         lines = (tmp_path / "run_summary.csv").read_text().splitlines()
         assert lines[0].startswith("qber,abort,")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("settings, abort", [(HONEST, "false"), ("[run]\nn_signals = 3\n", "true")],
+                             ids=["honest", "aborting"])
+    def test_csv_columns_are_the_report_values(self, tmp_path, settings, abort):
+        # each column holds the report's text under the key whose last dotted segment names it
+        keys = ("qber", "abort", "estimate.delta_x", "estimate.delta_z", "estimate.delta_b",
+                "run.sifted_key_length", "run.ground_truth_sifted_error", "run.key_rate")
+        cfg = write(tmp_path, "run.ini", settings)
+        for fmt in ("report", "csv"):
+            main(["--config", cfg, "--out", str(tmp_path), "--format", fmt, "run"])
+        report = dict(line.split(" = ") for line in (tmp_path / "run_report.txt").read_text().splitlines())
+        header, values = [line.split(",") for line in (tmp_path / "run_summary.csv").read_text().splitlines()]
+        assert report["abort"] == abort
+        assert header == [key.rpartition(".")[2] for key in keys]
+        assert values == [report[key] for key in keys]
 
     def test_missing_config_is_usage_error(self, tmp_path):
         code = main(["--config", str(tmp_path / "absent.ini"), "run"])

@@ -71,6 +71,7 @@ class TestStreams:
             draws = {stage_block_generator(seed, stage, 0).random(8).tobytes() for seed in seeds}
         assert len(draws) == len(seeds)
 
+    @pytest.mark.pins_streams
     @pytest.mark.parametrize("stage", ["detection", "alice_bits", "dark_bit"])
     def test_stage_tag_is_the_exact_digest(self, stage):
         # a digest of 2^63 or more is a key word as it is, not rounded to a double
