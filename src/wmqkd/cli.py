@@ -16,7 +16,7 @@ import os
 import sys
 
 from .config import ConfigError, DEFAULT_CONFIG, config_with_seed, parse_config, parse_config_text
-from .estimation import EstimationError, build_report, read_signal_log, text_value
+from .estimation import EstimationError, build_report, read_signal_log, text_table
 from .harness import (
     fig3_dataset,
     fig5_dataset,
@@ -74,23 +74,21 @@ def _load_config(args):
     return config_with_seed(cfg, args.seed)
 
 
+# the run's table keys that run_summary.csv writes, each under its last dotted segment
+_CSV_KEYS = ("qber", "abort", "estimate.delta_x", "estimate.delta_z", "estimate.delta_b",
+             "run.sifted_key_length", "run.ground_truth_sifted_error", "run.key_rate")
+
+
 def _emit_run(result, out_dir: str, fmt: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    table = dict(result.items())
     if fmt == "report":
         path = os.path.join(out_dir, "run_report.txt")
         with open(path, "w", newline="\n") as fh:
-            fh.write(result.report.to_text())
-            for name in ("sifted_key_length", "ground_truth_sifted_error", "key_rate", "undetected_attack"):
-                fh.write(f"run.{name} = {text_value(getattr(result, name))}\n")
+            fh.write(text_table(table.items()))
     else:
         path = os.path.join(out_dir, "run_summary.csv")
-        header = ["qber", "abort", "delta_x", "delta_z", "delta_b",
-                  "sifted_key_length", "ground_truth_sifted_error", "key_rate"]
-        write_csv(path, header, [[
-            result.qber, result.abort, result.report.rates.delta_x,
-            result.report.rates.delta_z, result.report.rates.delta_b,
-            result.sifted_key_length, result.ground_truth_sifted_error, result.key_rate,
-        ]])
+        write_csv(path, [key.rpartition(".")[2] for key in _CSV_KEYS], [[table[key] for key in _CSV_KEYS]])
     print(f"wrote {path}")
     print(f"qber = {result.qber:.6g}  abort = {result.abort}  key_rate = {result.key_rate:.6g}")
 

@@ -15,8 +15,9 @@ NaN, inf or non-positive value fails a named check, and the run aborts.
 
 One definition per report convention lives here: CELLS indexes the eight
 (bit, basis, observable) cells, a report's gains are the tuple
-(Q_mu, Q_nu, Q_vac) in class-code order, and `text_value` writes every report
-and CSV value.  The variance-equality p-values come from
+(Q_mu, Q_nu, Q_vac) in class-code order, `EstimationReport.items` is the
+ordered (key, value) table that names every report key, and `text_value`
+writes every report and CSV value.  The variance-equality p-values come from
 scipy.special.fdtrc, the F distribution's survival function.
 
 Estimates are never clipped: a negative delta is the designed attack tripwire
@@ -58,6 +59,11 @@ def text_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def text_table(items) -> str:
+    """(key, value) pairs as flat `key = value` lines."""
+    return "".join(f"{key} = {text_value(value)}\n" for key, value in items)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +324,7 @@ def estimate_couplings(stats: ConditionedStats, dark_fraction: float = 0.0) -> t
 
 @dataclass(frozen=True)
 class ErrorRates:
-    """Bloch estimates and the derived errorrates (pre dark-correction)."""
+    """Bloch estimates and the derived error rates (pre dark-correction), in report key order."""
 
     r_x_plus: float
     r_x_minus: float
@@ -470,7 +476,7 @@ CHECK_NAMES = ("errors_nonnegative", "couplings_bounded", "variances_bounded", "
 
 @dataclass(frozen=True)
 class Verdicts:
-    """The four weak-measurement certification checks (pass = True)."""
+    """The four weak-measurement certification checks (pass = True), in report key order."""
 
     errors_nonnegative: bool
     couplings_bounded: bool
@@ -516,47 +522,36 @@ class EstimationReport:
     verdicts: Verdicts = None
     abort: bool = True
 
+    def items(self) -> list:
+        """The report's (key, value) pairs in report order, verdicts as pass/fail."""
+        cells = (("mean", self.cell_mean), ("var", self.cell_var), ("count", self.cell_count))
+        deltas = ("delta_x", "delta_z", "delta_b")
+        decoy = () if self.decoy_rates is None else (
+            ("decoy.delta_x", self.decoy_rates.delta_x), ("decoy.delta_z", self.decoy_rates.delta_z),
+            ("decoy.delta_x_corrected", self.delta_x_decoy_corrected))
+        return [
+            *((f"cell.bit{i}_{'ZX'[j]}_H{'+-'[k]}.{stat}", float(values[i, j, k]))
+              for i, j, k in np.ndindex(2, 2, 2) for stat, values in cells),
+            *((f"coupling.{name}", getattr(self, name))
+              for name in ("g_plus", "g_minus", "g_plus_se", "g_minus_se")),
+            *((f"estimate.{name}", value) for name, value in vars(self.rates).items()),
+            *((f"estimate.{name}_se", getattr(self, f"{name}_se")) for name in deltas),
+            *sorted((f"gain.{name}", q) for name, q in zip(INTENSITY_NAMES.values(), self.gains)),
+            ("dark.fraction_signal", self.dark_fraction_signal),
+            ("dark.fraction_decoy", self.dark_fraction_decoy),
+            *((f"corrected.{name}", getattr(self, f"{name}_corrected")) for name in deltas),
+            *decoy,
+            ("device.sigma_md_sq_lower", self.sigma_md_sq_lower),
+            ("device.delta_wm_estimate", self.delta_wm_estimate),
+            ("qber", self.qber),
+            *((f"verdict.{name}", ("pass" if value else "fail") if name in CHECK_NAMES else value)
+              for name, value in vars(self.verdicts).items()),
+            ("abort", self.abort),
+        ]
+
     def to_text(self) -> str:
         """Flat key = value report (documented interchange for the CLI)."""
-        lines = []
-
-        def put(key, value):
-            lines.append(f"{key} = {text_value(value)}")
-
-        for (i, j, k) in np.ndindex(2, 2, 2):
-            cell = f"bit{i}_{'ZX'[j]}_H{'+-'[k]}"
-            put(f"cell.{cell}.mean", float(self.cell_mean[i, j, k]))
-            put(f"cell.{cell}.var", float(self.cell_var[i, j, k]))
-            put(f"cell.{cell}.count", float(self.cell_count[i, j, k]))
-        put("coupling.g_plus", self.g_plus)
-        put("coupling.g_minus", self.g_minus)
-        put("coupling.g_plus_se", self.g_plus_se)
-        put("coupling.g_minus_se", self.g_minus_se)
-        for name in ("r_x_plus", "r_x_minus", "r_z_0", "r_z_1", "delta_x", "delta_z", "delta_b"):
-            put(f"estimate.{name}", getattr(self.rates, name))
-        put("estimate.delta_x_se", self.delta_x_se)
-        put("estimate.delta_z_se", self.delta_z_se)
-        put("estimate.delta_b_se", self.delta_b_se)
-        for name, q in sorted(zip(INTENSITY_NAMES.values(), self.gains)):
-            put(f"gain.{name}", q)
-        put("dark.fraction_signal", self.dark_fraction_signal)
-        put("dark.fraction_decoy", self.dark_fraction_decoy)
-        put("corrected.delta_x", self.delta_x_corrected)
-        put("corrected.delta_z", self.delta_z_corrected)
-        put("corrected.delta_b", self.delta_b_corrected)
-        if self.decoy_rates is not None:
-            put("decoy.delta_x", self.decoy_rates.delta_x)
-            put("decoy.delta_z", self.decoy_rates.delta_z)
-            put("decoy.delta_x_corrected", self.delta_x_decoy_corrected)
-        put("device.sigma_md_sq_lower", self.sigma_md_sq_lower)
-        put("device.delta_wm_estimate", self.delta_wm_estimate)
-        put("qber", self.qber)
-        for key, value in self.verdicts.as_dict().items():
-            lines.append(f"verdict.{key} = {'pass' if value else 'fail'}")
-        put("verdict.min_variance_p_value", self.verdicts.min_variance_p_value)
-        put("verdict.max_variance_ratio", self.verdicts.max_variance_ratio)
-        put("abort", self.abort)
-        return "\n".join(lines) + "\n"
+        return text_table(self.items())
 
 
 def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) -> Verdicts:

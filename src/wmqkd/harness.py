@@ -200,10 +200,14 @@ class RunResult:
     ground_truth_sifted_error: float
     eve_sifted_knowledge: float | None
     key_rate: float
-    idealized_rate_smoothed: float
     undetected_attack: bool
     timings: dict
     log: SignalLog | None = None
+
+    def items(self) -> list:
+        """The run's table: the report's (key, value) pairs, then the run.* ones."""
+        run = ("sifted_key_length", "ground_truth_sifted_error", "key_rate", "undetected_attack")
+        return [*self.report.items(), *((f"run.{name}", getattr(self, name)) for name in run)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +305,8 @@ def _simulate_log(cfg: ProtocolConfig, timings: dict, clicked, dark, unclicked=N
         mid = lo + clicked[rows].sum()
         tallies = _simulate_windows(cfg, group, 0, clicked[rows], dark[rows], [c[lo:mid] for c in columns], lap)
         if unclicked is not None:  # no-click windows sift nothing
-            _simulate_windows(cfg, group, 1, unclicked[rows], 0 * unclicked[rows], [c[mid:hi] for c in columns], lap)
+            _simulate_windows(cfg, group, 1, unclicked[rows], 0 * unclicked[rows],
+                              [c[mid:hi] for c in columns], lap)
         return tallies, group_timings
 
     groups = [range(lo, min(lo + per_task, len(clicked))) for lo in range(0, len(clicked), per_task)]
@@ -360,7 +365,6 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
     key_rate = 0.0
     if not abort:
         key_rate = _estimated_key_rate(report, cfg)
-    ideal = smoothed_rate(report.qber)
     undetected = (cfg.attack.strategy != "none") and not abort and (eve_known or 0.0) > 0.99
     lap("rates")
 
@@ -368,7 +372,6 @@ def run_protocol(cfg: ProtocolConfig, keep_log: bool = False) -> RunResult:
         report=report, abort=abort, qber=report.qber,
         sifted_key_length=key_len, ground_truth_sifted_error=gt_error,
         eve_sifted_knowledge=eve_known, key_rate=key_rate,
-        idealized_rate_smoothed=0.0 if abort else ideal,
         undetected_attack=undetected, timings=timings,
         log=log if keep_log else None,
     )
@@ -490,30 +493,22 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
     rows = []
     for value in values:
         cfg = set_config_axis(base, axis, value)
-        row = {"axis": axis, "value": float(value)}
-        if mode == "analytic":
-            report = analytic_report(cfg)
-            row.update(
-                delta_x=report.rates.delta_x, delta_z=report.rates.delta_z,
-                delta_b=report.rates.delta_b, qber=report.qber,
-                abort=report.abort,
-                rate_smoothed=smoothed_rate(report.qber),
-                rate_split=max(split_rate(clip_error(report.delta_x_corrected),
-                                          clip_error(report.delta_z_corrected)), 0.0),
-            )
+        result = None if mode == "analytic" else run_protocol(cfg)
+        report = analytic_report(cfg) if result is None else result.report
+        row = {"axis": axis, "value": float(value), "delta_x": report.rates.delta_x,
+               "delta_z": report.rates.delta_z, "delta_b": report.rates.delta_b,
+               "qber": report.qber, "abort": report.abort}
+        if result is None:
             delta_wm = wm_disturbance_error(cfg.pointer.g, cfg.pointer.sigma_md)
-            row["rate_wm_decoy"] = wm_decoy_chain(cfg.system, cfg.decoy, delta_wm).rate
-            row["rate_bb84_decoy"] = bb84_decoy_chain(cfg.system, cfg.decoy).rate
+            row.update(rate_smoothed=smoothed_rate(report.qber),
+                       rate_split=max(split_rate(clip_error(report.delta_x_corrected),
+                                                 clip_error(report.delta_z_corrected)), 0.0),
+                       rate_wm_decoy=wm_decoy_chain(cfg.system, cfg.decoy, delta_wm).rate,
+                       rate_bb84_decoy=bb84_decoy_chain(cfg.system, cfg.decoy).rate)
         else:
-            result = run_protocol(cfg)
-            row.update(
-                delta_x=result.report.rates.delta_x, delta_z=result.report.rates.delta_z,
-                delta_b=result.report.rates.delta_b, qber=result.qber,
-                abort=result.abort, rate_smoothed=result.idealized_rate_smoothed,
-                rate_split=float("nan"), rate_wm_decoy=result.key_rate,
-                rate_bb84_decoy=float("nan"),
-                ground_truth_sifted_error=result.ground_truth_sifted_error,
-            )
+            row.update(rate_smoothed=0.0 if report.abort else smoothed_rate(report.qber),
+                       rate_split=float("nan"), rate_wm_decoy=result.key_rate, rate_bb84_decoy=float("nan"),
+                       ground_truth_sifted_error=result.ground_truth_sifted_error)
         rows.append(row)
     return rows
 

@@ -157,8 +157,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("settings, failing", [
         # three windows leave a signal cell of each observable empty on every
-        # stream, so both couplings and every check are NaN; 150 km leaves
-        # signal cells empty
+        # stream, so both couplings are NaN and every check fails; 150 km
+        # leaves signal cells empty
         ("[run]\nn_signals = 3\n", CHECK_NAMES),
         ("[run]\nn_signals = 200000\n[system]\neta_d = 0.145\ndistance_km = 150\n", CHECK_NAMES),
     ], ids=["tiny_n", "150km"])

@@ -121,12 +121,15 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
 
 
+def assert_pinned(got, pinned):
+    assert sorted(got) == sorted(pinned)
+    differ = [name for name in pinned if got[name] != pinned[name]]
+    assert not differ, f"outputs differ from their pinned digests: {', '.join(differ)}"
+
+
 def check_pinned_digests(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(harness, "_WORKERS", workers)
-    got = {name: digest(path) for name, path in produce_outputs(tmp_path).items()}
-    assert sorted(got) == sorted(DIGESTS)
-    differ = [name for name in DIGESTS if got[name] != DIGESTS[name]]
-    assert not differ, f"outputs differ from their pinned digests: {', '.join(differ)}"
+    assert_pinned({name: digest(path) for name, path in produce_outputs(tmp_path).items()}, DIGESTS)
 
 
 def test_fixed_seed_outputs_match_pinned_digests(tmp_path, monkeypatch):
@@ -228,7 +231,4 @@ def matrix_digests():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_matrix_outputs_match_pinned_digests(monkeypatch, workers):
     monkeypatch.setattr(harness, "_WORKERS", workers)
-    got = matrix_digests()
-    assert sorted(got) == sorted(MATRIX_DIGESTS)
-    differ = [name for name in MATRIX_DIGESTS if got[name] != MATRIX_DIGESTS[name]]
-    assert not differ, f"outputs differ from their pinned digests: {', '.join(differ)}"
+    assert_pinned(matrix_digests(), MATRIX_DIGESTS)
