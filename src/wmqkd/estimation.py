@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice, product
 
 import numpy as np
 from scipy.special import fdtrc
@@ -119,21 +119,30 @@ class SignalLog:
 
 SIGNAL_LOG_HEADER = "s_A,b,h,omega,s_B,intensity_class"
 _LOG_FIELDS = SIGNAL_LOG_HEADER.split(",")
-_LOG_RECORD = "%d,%d,%d,%.17g,%d,%d\n"
+_ROW_FORMAT = "%d,%d,%d,%%.17g,%d,%d\n"  # a record's flags filled in, its reading left as %.17g
+_ROW_TEMPLATES = np.array([_ROW_FORMAT % flags for flags in product(*_FLAG_VALUES.values())], dtype=object)
 _WRITE_CHUNK = 1 << 16
 _SCAN_CHUNK = 1 << 16  # characters
 _READ_ROWS = 1 << 16
 
 
 def write_signal_log(path, log: SignalLog) -> None:
-    """Write the interchange file: header + one decimal-text record per signal."""
-    columns = [getattr(log, name) for name in _COLUMN_DTYPES]
+    """Write the interchange file: header + one `%d,%d,%d,%.17g,%d,%d` record per
+    signal, so a reading reads back bit-equal.  Each record is its flags' row
+    template with the reading formatted in; flags are written as stored, and a
+    record with a flag out of range (which read_signal_log rejects) gets its own."""
     with open(path, "w", newline="\n") as fh:
         fh.write(SIGNAL_LOG_HEADER + "\n")
         for lo in range(0, len(log), _WRITE_CHUNK):
-            rows = zip(*(column[lo:lo + _WRITE_CHUNK].tolist() for column in columns))
-            fields = tuple(chain.from_iterable(rows))
-            fh.write(_LOG_RECORD * (len(fields) // len(columns)) % fields)
+            flags = [getattr(log, name)[lo:lo + _WRITE_CHUNK] for name in _FLAG_VALUES]
+            index, stray = 0, False
+            for column, values in zip(flags, _FLAG_VALUES.values()):
+                offset = column.astype(np.intp) - values[0]  # a flag's values are consecutive integers
+                index, stray = index * len(values) + offset, stray | (offset < 0) | (offset >= len(values))
+            templates = _ROW_TEMPLATES[np.where(stray, 0, index)]
+            for row in np.flatnonzero(stray):
+                templates[row] = _ROW_FORMAT % tuple(int(column[row]) for column in flags)
+            fh.write("".join(templates.tolist()) % tuple(log.omega[lo:lo + _WRITE_CHUNK].tolist()))
 
 
 def _count_records(path, fh) -> tuple[int, EstimationError | None]:

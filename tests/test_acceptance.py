@@ -56,6 +56,8 @@ def _passed(n, text):
 
 
 def test_criterion_1_disturbance_bound():
+    """The Monte Carlo flip rate lies within 3 binomial standard errors of
+    delta_wm: one two-sided check, nominal false-alarm rate 2.7e-3 (normal tail)."""
     t0 = time.perf_counter()
     value = wm_disturbance_error(0.10, 1.0)
     assert value < 0.0004
@@ -114,6 +116,10 @@ def test_criterion_2_fig3_property():
 
 
 def test_criterion_3_estimation_round_trip():
+    """Exact round trip to 1e-12, then 100 Monte Carlo trials whose two deltas
+    must each lie within 4 of their standard errors in at least 99.  A check fails
+    with nominal rate 6.3e-5 (two-sided normal tail), so a trial with at most
+    1.3e-4, and the test, which needs two failed trials, with 7.9e-5."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(33)
     # exact-expectation round trip on 200 randomized unital channels
@@ -234,6 +240,9 @@ def test_criterion_6_optimal_bias_formulas():
 
 
 def test_criterion_7_attack_strategy_1():
+    """delta_b~ lies within 3 delta_b_se of (1 - alpha p_H)/2 for four p_H: each
+    two-sided check has nominal false-alarm rate 2.7e-3, so the loop 1.1e-2.
+    The variance-ratio and p_H = 1 checks are not k-standard-error checks."""
     t0 = time.perf_counter()
     alpha = 1.0
     rejected = []
@@ -266,6 +275,9 @@ def test_criterion_7_attack_strategy_1():
 
 
 def test_criterion_8_attack_strategy_2():
+    """The QBER is at least (1 - sigma_ratio p_b p_H)/2 - 3 delta_b_se on a 3x3
+    grid.  At sigma_ratio = 1 the bound holds with equality, so each one-sided
+    check has nominal false-alarm rate 1.35e-3, and the nine checks 1.2e-2."""
     t0 = time.perf_counter()
     # alpha = sigma_sec/sigma_md saturates the variance cap (a delivered cell
     # variance is (alpha sigma_md)^2), and there the QBER bound holds with equality

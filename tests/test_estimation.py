@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -578,16 +579,54 @@ class TestSignalLogFlags:
         assert len(SignalLog(*([[]] * 6))) == 0
 
 
+# readings whose 17-digit text is easy to get wrong: signed zero, the smallest
+# subnormal and normal, the largest float, a tiny negative, and three that print short
+EDGE_READINGS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-300, 3.0, 0.1, 1 / 3]
+# (column, value) of the out-of-range flags a log built in code may still hold
+STRAY_FLAGS = [("s_a", 7), ("h", 5), ("s_b", -2), ("intensity", 3), ("b", 2)]
+
+
+def reference_write_signal_log(path, log):
+    """The per-field writer: every record is one %-format of its six fields."""
+    columns = [log.s_a, log.b, log.h, log.omega, log.s_b, log.intensity]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(SIGNAL_LOG_HEADER + "\n")
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write("%d,%d,%d,%.17g,%d,%d\n" % row)
+
+
 class TestSignalLogIO:
     def test_round_trip(self, tmp_path):
-        log = make_log(n=500, seed=40)
+        log = make_log(n=500, seed=40, intensity=np.arange(500) % 3)
         log.s_b[::7] = -1
+        log.omega[:len(EDGE_READINGS)] = EDGE_READINGS
         path = tmp_path / "log.csv"
         write_signal_log(path, log)
         back = read_signal_log(path)
-        assert np.all(back.s_a == log.s_a)
-        assert np.all(back.s_b == log.s_b)
-        assert back.omega == pytest.approx(log.omega, abs=0)
+        for name in ("s_a", "b", "h", "s_b", "intensity"):
+            assert np.array_equal(getattr(back, name), getattr(log, name)), name
+        assert np.array_equal(back.omega.view(np.uint64), log.omega.view(np.uint64))  # -0.0 counts
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("n", [0, 1, 1 << 16, (1 << 16) + 1, 2 * (1 << 16) + 5])
+    def test_writer_matches_per_field_reference(self, tmp_path, monkeypatch, n, chunk):
+        # every in-range flag combination, stray flags written as stored, edge readings
+        if chunk:
+            monkeypatch.setattr(estimation, "_WRITE_CHUNK", chunk)
+        rng = np.random.default_rng(n)
+        combos = np.array(list(itertools.product((0, 1), (0, 1), (0, 1), (-1, 0, 1), (0, 1, 2))))
+        flags = combos[rng.permutation(n) % len(combos)].T
+        omega = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        omega[::3] = np.resize(EDGE_READINGS, len(omega[::3]))
+        log = SignalLog(*flags[:3], omega, *flags[3:])
+        for row, (column, value) in zip(rng.permutation(n), STRAY_FLAGS):
+            getattr(log, column)[row] = value
+        if n > 1:
+            log.s_a[-1], log.intensity[-1] = 7, 3  # two stray flags in one record
+        path, want = tmp_path / "log.csv", tmp_path / "reference.csv"
+        write_signal_log(path, log)
+        reference_write_signal_log(want, log)
+        assert path.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("body, line, what", [
         # np.loadtxt skips both lines, so the h = 7 record was reported as line 4
