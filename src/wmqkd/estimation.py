@@ -305,11 +305,13 @@ def merge_moments(a: ConditionedStats, b: ConditionedStats) -> ConditionedStats:
     return ConditionedStats(mean, var, n)
 
 
+_INFINITE_COUNT = np.full((2, 2, 2), np.inf)
+_INFINITE_COUNT.flags.writeable = False  # shared by every exact report
+
+
 def exact_stats(mean: np.ndarray, var: np.ndarray) -> ConditionedStats:
-    """Exact-expectation statistics (infinite counts) for analytic paths."""
-    return ConditionedStats(np.asarray(mean, dtype=float),
-                            np.asarray(var, dtype=float),
-                            np.full((2, 2, 2), np.inf))
+    """Exact-expectation statistics for analytic paths: their counts are one shared read-only array of inf."""
+    return ConditionedStats(np.asarray(mean, dtype=float), np.asarray(var, dtype=float), _INFINITE_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +400,21 @@ def compute_qber(delta_b: float, delta_wm: float, d_mu: float) -> float:
 # standard errors
 # ---------------------------------------------------------------------------
 
+_BIT_SIGN = np.where(CELLS[0] == 0, 1.0, -1.0)
+_C_X = np.where(CELLS[1] == 1, _BIT_SIGN * np.where(CELLS[2] == 0, 1.0, -1.0), 0.0)
+_C_Z = np.where(CELLS[1] == 0, _BIT_SIGN, 0.0)
+_DELTA_SIGNS = np.stack([_C_X, _C_Z, 0.5 * (_C_X + _C_Z)])  # the +-1 tables c of _delta_gradients
+
+
 def _delta_gradients(stats: ConditionedStats) -> np.ndarray:
     """Gradients of (delta_x, delta_z, delta_b) in the 8 cell means, shape (3, 2, 2, 2).
 
     The expectation values are E_h = m[., ., h] / ((1-d) g_h) = 2 m / S_h with
     S_h the sum of the four H(h) cell means, so the dark fraction cancels and
     delta = 1/2 - (sqrt2/2) sum_h T_h / S_h, T_h = sum_{s,b} c[s,b,h] m[s,b,h],
-    for fixed +-1 tables c (c_b is the mean of c_x and c_z).
+    for the fixed +-1 tables c = _DELTA_SIGNS (c_b is the mean of c_x and c_z).
     """
-    s_a, basis, h = CELLS
-    bit_sign = np.where(s_a == 0, 1.0, -1.0)
-    c_x = np.where(basis == 1, bit_sign * np.where(h == 0, 1.0, -1.0), 0.0)
-    c_z = np.where(basis == 0, bit_sign, 0.0)
-    c = np.stack([c_x, c_z, 0.5 * (c_x + c_z)])
+    c = _DELTA_SIGNS
     m = stats.mean
     s_h = m.sum(axis=(0, 1))
     t_h = (c * m).sum(axis=(1, 2))
@@ -425,7 +429,8 @@ def delta_standard_errors(stats: ConditionedStats):
     """
     grads = _delta_gradients(stats)
     mean_var = stats.var / stats.count
-    ses = np.sqrt(np.tensordot(grads**2, mean_var, axes=([1, 2, 3], [0, 1, 2])))
+    # the one BLAS product np.tensordot would make, on the same operands, without its bookkeeping
+    ses = np.sqrt(np.dot((grads**2).reshape(3, 8), mean_var.reshape(8, 1)).reshape(3))
     return float(ses[0]), float(ses[1]), float(ses[2])
 
 

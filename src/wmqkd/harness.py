@@ -409,10 +409,15 @@ def channel_estimation_log(channel: ChannelModel, pointer: PointerConfig,
 # analytic (exact-expectation) mode
 # ---------------------------------------------------------------------------
 
-def _honest_cell_expectations(cfg: ProtocolConfig, attack: adv.AttackConfig) -> np.ndarray:
+_CELL_STATES = bb84_bloch(CELLS[0], CELLS[1])  # Alice's Bloch (x, z) per cell
+_FAMILY_SIGN = np.where(CELLS[2] == 0, 1.0, -1.0)  # the sign of H(h) per cell
+
+
+def _honest_cell_expectations(cfg: ProtocolConfig) -> np.ndarray:
     """Marginal shifted-branch probability E per (bit, basis, observable) cell."""
-    s_a, basis, h = CELLS
-    r_x, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
+    attack = cfg.attack
+    _, basis, h = CELLS
+    r_x, r_z = cfg.channel.apply_array(*_CELL_STATES)
     if attack.strategy == "intercept_resend":
         r_x, r_z = adv.intercept_resend_mean_state(r_x, r_z, basis, attack.p_basis)
     if attack.strategy == "biased_observables":
@@ -421,21 +426,19 @@ def _honest_cell_expectations(cfg: ProtocolConfig, attack: adv.AttackConfig) -> 
     else:
         biases = ((1.0, 0.0),)
     damp = math.exp(-0.5 * cfg.pointer.sigma_phi**2)  # Gaussian angle noise damps exactly
-    sign = np.where(h == 0, 1.0, -1.0)
     e = 0.0
     for weight, bias in biases:
-        axis_x, axis_z = projector_axis(sign, (math.pi / 4 + cfg.pointer.bias_phi) + bias)
+        axis_x, axis_z = projector_axis(_FAMILY_SIGN, (math.pi / 4 + cfg.pointer.bias_phi) + bias)
         e = e + weight * 0.5 * (1.0 + damp * (axis_x * r_x + axis_z * r_z))
     return e
 
 
 def exact_cell_statistics(cfg: ProtocolConfig):
     """Exact (mean, variance) of the conditioned readings under the configured attack."""
-    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
     g, sig = cfg.pointer.g, cfg.pointer.sigma_md
-    if attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
-        return adv.strategy_fake_cell_laws(attack, g, sig)
-    e = _honest_cell_expectations(cfg, attack)
+    if cfg.attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):  # these fill g_eve, sigma_eve themselves
+        return adv.strategy_fake_cell_laws(cfg.attack, g, sig)
+    e = _honest_cell_expectations(cfg)
     return g * e, pointer_variance(e, g, sig)
 
 
@@ -490,7 +493,7 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
             and knob not in adv.STRATEGY_FIELDS[base.attack.strategy]):
         raise ValueError(f"axis {axis!r} has no effect: attack.strategy = "
                          f"{base.attack.strategy!r} does not read {knob!r}")
-    rows = []
+    rows, bb84_rate = [], None
     for value in values:
         cfg = set_config_axis(base, axis, value)
         result = None if mode == "analytic" else run_protocol(cfg)
@@ -500,11 +503,13 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
                "qber": report.qber, "abort": report.abort}
         if result is None:
             delta_wm = wm_disturbance_error(cfg.pointer.g, cfg.pointer.sigma_md)
+            if bb84_rate is None or section in ("system", "decoy"):  # the BB84 chain reads only these
+                bb84_rate = bb84_decoy_chain(cfg.system, cfg.decoy).rate
             row.update(rate_smoothed=smoothed_rate(report.qber),
                        rate_split=max(split_rate(clip_error(report.delta_x_corrected),
                                                  clip_error(report.delta_z_corrected)), 0.0),
                        rate_wm_decoy=wm_decoy_chain(cfg.system, cfg.decoy, delta_wm).rate,
-                       rate_bb84_decoy=bb84_decoy_chain(cfg.system, cfg.decoy).rate)
+                       rate_bb84_decoy=bb84_rate)
         else:
             row.update(rate_smoothed=0.0 if report.abort else smoothed_rate(report.qber),
                        rate_split=float("nan"), rate_wm_decoy=result.key_rate, rate_bb84_decoy=float("nan"),

@@ -82,6 +82,9 @@ class TestInterceptResend:
 
     @pytest.mark.parametrize("p_basis,want", [(0.5, 0.25), (0.9, 0.05), (1.0, 0.0)])
     def test_induced_sifted_error(self, p_basis, want):
+        """One two-sided check at max(3 se, 2e-3): nominal false-alarm rate
+        2.7e-3 at p_basis = 0.5 (normal tail), 4.1e-5 at 0.9 where the 2e-3
+        floor is 4.1 se, and 0 at 1.0, which never flips; 2.7e-3 over the three."""
         # Z-sent, Z-measured error rate is (1 - p_basis)/2
         rng = np.random.default_rng(2)
         n = 200_000

@@ -117,6 +117,8 @@ class TestConfigParsing:
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
 
     def test_readme_library_example_runs(self):
+        """One two-sided 3-standard-error check of the honest QBER: nominal
+        false-alarm rate 2.7e-3 (normal tail)."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
         namespace = {}

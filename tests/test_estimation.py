@@ -92,6 +92,8 @@ class TestConditioning:
         assert stats.var == pytest.approx(np.full((2, 2, 2), 0.25), abs=0.01)
 
     def test_monte_carlo_cell_mean(self):
+        """One two-sided 4-standard-error check: nominal false-alarm rate 6.3e-5
+        (normal tail)."""
         # noiseless channel: the (bit 0, Z, H+) cell mean tends to g <H+>
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 400_000, 42)
         stats = condition_and_average(log)[INTENSITY_SIGNAL]
@@ -251,6 +253,8 @@ class TestCouplings:
         assert not report.verdicts.couplings_bounded and report.abort
 
     def test_monte_carlo_recovery(self):
+        """Two two-sided 3-standard-error checks: each has nominal false-alarm
+        rate 2.7e-3 (normal tail), the pair 5.4e-3."""
         log = channel_estimation_log(ChannelModel(), PointerConfig(G, 1.0), 400_000, 7)
         stats = condition_and_average(log)[INTENSITY_SIGNAL]
         gp, gm = estimate_couplings(stats)
@@ -534,6 +538,9 @@ class TestStandardErrors:
 
 class TestDarkCorrectionConsistency:
     def test_corrected_matches_dark_free(self):
+        """One two-sided 3-standard-error check on the difference of two
+        independent runs, floored at 5e-3: nominal false-alarm rate at most
+        2.7e-3 (normal tail)."""
         # runs with inflated dark counts: the corrected delta agrees with the
         # uncorrected delta of a dark-free run within statistical tolerance
         from wmqkd.harness import run_protocol

@@ -7,23 +7,32 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmqkd import harness
+from wmqkd import adversary as adv
+from wmqkd import estimation, harness
 from wmqkd.adversary import (
     STRATEGIES,
     STRATEGY_FIELDS,
     AttackConfig,
     strategy1_predicted_qber,
 )
-from wmqkd.bloch import ChannelModel, binary_entropy, true_error_rates
+from wmqkd.bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis, true_error_rates
 from wmqkd.estimation import (
+    CELLS,
+    INTENSITY_SIGNAL,
+    ConditionedStats,
     EstimationThresholds,
     SignalLog,
     build_report,
+    condition_and_average,
+    delta_standard_errors,
+    exact_stats,
+    report_from_stats,
 )
 from wmqkd.harness import (
     BLOCK_SIZE,
@@ -41,7 +50,7 @@ from wmqkd.harness import (
     write_csv,
 )
 from wmqkd.keyrate import SystemParams
-from wmqkd.pointer import PointerConfig, wm_disturbance_error
+from wmqkd.pointer import PointerConfig, pointer_variance, wm_disturbance_error
 
 
 def small_cfg(**kwargs):
@@ -227,6 +236,56 @@ def reference_cell_expectations(cfg, attack):
     return expectations
 
 
+def reference_delta_standard_errors(stats):
+    """delta_standard_errors with the +-1 sign tables of its gradients rebuilt
+    on every call and the cell sum taken by np.tensordot."""
+    s_a, basis, h = CELLS
+    bit_sign = np.where(s_a == 0, 1.0, -1.0)
+    c_x = np.where(basis == 1, bit_sign * np.where(h == 0, 1.0, -1.0), 0.0)
+    c_z = np.where(basis == 0, bit_sign, 0.0)
+    c = np.stack([c_x, c_z, 0.5 * (c_x + c_z)])
+    m = stats.mean
+    s_h = m.sum(axis=(0, 1))
+    t_h = (c * m).sum(axis=(1, 2))
+    grads = -(math.sqrt(2.0) / 2.0) * (c - (t_h / s_h)[:, None, None, :]) / s_h
+    ses = np.sqrt(np.tensordot(grads**2, stats.var / stats.count, axes=([1, 2, 3], [0, 1, 2])))
+    return float(ses[0]), float(ses[1]), float(ses[2])
+
+
+def reference_exact_cell_statistics(cfg):
+    """exact_cell_statistics with Eve's device defaults filled for every strategy
+    and the cell states and observable signs built on every call."""
+    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
+    g, sig = cfg.pointer.g, cfg.pointer.sigma_md
+    if attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
+        return adv.strategy_fake_cell_laws(attack, g, sig)
+    s_a, basis, h = CELLS
+    r_x, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
+    if attack.strategy == "intercept_resend":
+        r_x, r_z = adv.intercept_resend_mean_state(r_x, r_z, basis, attack.p_basis)
+    if attack.strategy == "biased_observables":
+        intended, swapped = adv.observable_biases(h, attack)
+        biases = (attack.p_h, intended), (1.0 - attack.p_h, swapped)
+    else:
+        biases = ((1.0, 0.0),)
+    damp = math.exp(-0.5 * cfg.pointer.sigma_phi**2)
+    sign = np.where(h == 0, 1.0, -1.0)
+    e = 0.0
+    for weight, bias in biases:
+        axis_x, axis_z = projector_axis(sign, (math.pi / 4 + cfg.pointer.bias_phi) + bias)
+        e = e + weight * 0.5 * (1.0 + damp * (axis_x * r_x + axis_z * r_z))
+    return g * e, pointer_variance(e, g, sig)
+
+
+def use_per_call_reference(monkeypatch):
+    """Route the analytic report through the per-call reference formulas and
+    fresh (writeable) infinite-count arrays."""
+    monkeypatch.setattr(estimation, "delta_standard_errors", reference_delta_standard_errors)
+    monkeypatch.setattr(harness, "exact_cell_statistics", reference_exact_cell_statistics)
+    monkeypatch.setattr(harness, "exact_stats", lambda mean, var: ConditionedStats(
+        np.asarray(mean, dtype=float), np.asarray(var, dtype=float), np.full((2, 2, 2), np.inf)))
+
+
 def _random_analytic_config(rng):
     strategy = ("none", "intercept_resend", "biased_observables")[rng.integers(3)]
     attack = AttackConfig(strategy=strategy, p_basis=float(rng.uniform(0.5, 1.0)),
@@ -368,6 +427,8 @@ class TestBlockPipelineOneWorker(TestBlockPipeline):
 
 class TestHonestRun:
     def test_noiseless_passes_and_matches_ground_truth(self):
+        """Two two-sided 4-standard-error checks: each has nominal false-alarm
+        rate 6.3e-5 (normal tail), the pair 1.3e-4."""
         cfg = ProtocolConfig(n_signals=1_000_000, master_seed=5)
         res = run_protocol(cfg)
         assert not res.abort
@@ -381,6 +442,8 @@ class TestHonestRun:
             res.ground_truth_sifted_error, abs=4 * res.report.delta_b_se)
 
     def test_depolarizing_estimate_tracks_truth(self):
+        """Two two-sided 4-standard-error checks: each has nominal false-alarm
+        rate 6.3e-5 (normal tail), the pair 1.3e-4."""
         chan = ChannelModel(depolarizing_prob=0.06)
         cfg = ProtocolConfig(n_signals=1_200_000, master_seed=6, channel=chan,
                              intensity_probs=(1.0, 0.0, 0.0))
@@ -392,6 +455,9 @@ class TestHonestRun:
 
 
     def test_angle_noise_is_drawn_per_signal(self):
+        """Each of the 8 cell means lies within 5 standard errors of its exact
+        value: nominal false-alarm rate 5.7e-7 per cell (two-sided normal
+        tail), 4.6e-6 over the 8 cells."""
         # one angle draw shared by a block's signals moves every cell mean by
         # several se at sigma_phi = 1; per-signal noise damps it exactly
         cfg = ProtocolConfig(n_signals=BLOCK_SIZE, master_seed=3, pointer=PointerConfig(0.5, 1.0, sigma_phi=1.0),
@@ -421,6 +487,8 @@ class TestDetectorIndependence:
 
 class TestAttackRuns:
     def test_intercept_resend_aborts(self):
+        """One two-sided 4-standard-error check on delta_b: nominal false-alarm
+        rate 6.3e-5 (normal tail); the sifted-error band is not a k-se check."""
         cfg = small_cfg(
             n_signals=600_000,
             attack=AttackConfig(strategy="intercept_resend", p_basis=0.5),
@@ -447,6 +515,8 @@ class TestAttackRuns:
         assert res.ground_truth_sifted_error < 0.01
 
     def test_strategy1_partial_knowledge_detected(self):
+        """One two-sided 3-standard-error check on delta_b: nominal false-alarm
+        rate 2.7e-3 (normal tail)."""
         cfg = small_cfg(
             n_signals=1_000_000,
             attack=AttackConfig(strategy="fake_wm_strategy1", p_h=0.9, alpha=1.0),
@@ -459,6 +529,9 @@ class TestAttackRuns:
             strategy1_predicted_qber(1.0, 0.9), abs=3 * res.report.delta_b_se)
 
     def test_strategy2_relaxed_variance_budget(self):
+        """One one-sided 3-standard-error check on the QBER floor: nominal
+        false-alarm rate 1.35e-3 (normal tail) where the bound is tight; the
+        0.97 back-off puts the expected QBER above it, so the rate is lower."""
         # sigma_sec = 1.5 sigma_md: Eve saturates the relaxed cap, the QBER
         # floor drops by the same ratio, and the variance checks stay quiet
         from wmqkd.adversary import strategy2_qber_lower_bound
@@ -483,6 +556,8 @@ class TestAttackRuns:
 
 class TestAnalyticMode:
     def test_matches_monte_carlo(self):
+        """Two two-sided 4-standard-error checks: each has nominal false-alarm
+        rate 6.3e-5 (normal tail), the pair 1.3e-4."""
         chan = ChannelModel(depolarizing_prob=0.08, rotation_theta=0.05)
         cfg = ProtocolConfig(n_signals=1_500_000, master_seed=8, channel=chan,
                              intensity_probs=(1.0, 0.0, 0.0))
@@ -494,6 +569,9 @@ class TestAnalyticMode:
             exact.rates.delta_z, abs=4 * mc.report.delta_z_se)
 
     def test_exact_cells_match_sampled_cells(self):
+        """Each of the 8 sampled cell means lies within 5 standard errors of its
+        exact value: nominal false-alarm rate 5.7e-7 per cell (two-sided normal
+        tail), 4.6e-6 over the 8 cells.  The 5 % variance band is not a k-se check."""
         cfg = ProtocolConfig(n_signals=400_000, master_seed=9,
                              channel=ChannelModel(depolarizing_prob=0.1))
         mean, var = exact_cell_statistics(cfg)
@@ -517,6 +595,42 @@ class TestAnalyticMode:
             assert mean.tobytes() == (g * e).tobytes()
             assert var.tobytes() == (sig**2 + g**2 * e * (1.0 - e)).tobytes()
         assert seen == {"none", "intercept_resend", "biased_observables"}
+
+    @pytest.mark.parametrize("system", ["lossless", "lossy"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_report_bit_equal_per_call_reference(self, monkeypatch, strategy, system):
+        # rotated channel, biased and noisy pointer: every term of the cell laws is live
+        cfg = ProtocolConfig(attack=PIPELINE_ATTACKS[strategy], system=PIPELINE_SYSTEMS[system], **NOISY_DEVICE)
+        got = analytic_report(cfg).to_text()
+        with monkeypatch.context() as m:
+            use_per_call_reference(m)
+            want = analytic_report(cfg).to_text()
+        assert got == want
+
+    @pytest.mark.parametrize("nan_cell", [None, (0, 1, 1)])
+    def test_sampled_standard_errors_bit_equal_per_call_reference(self, monkeypatch, nan_cell):
+        log = channel_estimation_log(ChannelModel(0.05, 0.2), PointerConfig(0.05, 1.0, bias_phi=0.03), 40_000, 5)
+        stats = condition_and_average(log)[INTENSITY_SIGNAL]
+        if nan_cell:
+            stats.var[nan_cell] = np.nan
+        report = partial(report_from_stats, stats, ProtocolConfig().resolved_thresholds(), (0.5, 0.1, 0.0))
+        got = delta_standard_errors(stats), report().to_text()
+        with monkeypatch.context() as m:
+            use_per_call_reference(m)
+            want = reference_delta_standard_errors(stats), report().to_text()
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()  # NaN and -0.0 compare by bits
+        assert got[1] == want[1]
+
+    def test_exact_counts_are_shared_and_read_only(self):
+        a = analytic_report(ProtocolConfig())
+        b = analytic_report(ProtocolConfig(channel=ChannelModel(depolarizing_prob=0.1)))
+        stats = exact_stats(a.cell_mean, a.cell_var)
+        assert a.cell_count is b.cell_count is stats.count
+        for count in (stats.count, a.cell_count):
+            assert not count.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                count[0, 0, 0] = 1.0
+        assert np.all(np.isinf(b.cell_count))
 
     def test_delta_b_never_understates_the_channel(self):
         # the paper's robustness claim: angle noise and a fixed device bias can
@@ -615,6 +729,18 @@ class TestSweep:
         assert rows[1]["delta_b"] == pytest.approx(0.05, abs=1e-12)
         assert [r["rate_smoothed"] for r in rows] == sorted(
             (r["rate_smoothed"] for r in rows), reverse=True)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("channel.depolarizing_prob", [0.0, 0.05, 0.1]),
+        ("system.distance_km", [0.0, 30.0, 60.0]),
+        ("decoy.nu", [0.02, 0.05, 0.1]),
+    ])
+    def test_sweep_rows_equal_one_point_sweeps(self, axis, values):
+        # the BB84 chain is computed once per sweep unless the axis moves the system or the decoys
+        base = ProtocolConfig(system=SystemParams())
+        rows = sweep(base, axis, values)
+        assert rows == [sweep(base, axis, [v])[0] for v in values]
+        assert (len({row["rate_bb84_decoy"] for row in rows}) == 1) == (axis.startswith("channel."))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,8 @@ class TestSampling:
         assert post.mean(axis=0) == pytest.approx(target, abs=se)
 
     def test_flip_probability_matches_formula(self):
+        """Four two-sided 4-standard-error checks, one per BB84 input: each has
+        nominal false-alarm rate 6.3e-5 (binomial, normal tail), the loop 2.5e-4."""
         # strong measurement in the preparation basis flips with rate delta_wm,
         # identically for all four BB84 inputs and both observables
         cfg = PointerConfig(g=0.3, sigma_md=1.0)
@@ -171,6 +173,11 @@ class TestSampling:
             assert flips.mean() == pytest.approx(delta, abs=4 * se)
 
     def test_angle_noise_mean_invariant_variance_grows(self):
+        """Two two-sided checks at 2 of the stated standard errors: nominal
+        false-alarm rate 4.6e-2 each (normal tail), 8.9e-2 for the pair.  The
+        stated se_mean and se_var are 4 times the unit-variance scale, so the
+        readings' own spread (variance about 1 + g^2/4) puts each band near 5.5
+        standard deviations of the difference, about 3e-8."""
         # sigma_phi leaves the mean unchanged; the variance grows by
         # g^2 (h - 1/2)^2 sigma_phi^2, i.e. g^2 sigma_phi^2 / 8 at BB84 inputs
         # (the worst-case coefficient over all states is 1/4)
