@@ -305,13 +305,11 @@ def merge_moments(a: ConditionedStats, b: ConditionedStats) -> ConditionedStats:
     return ConditionedStats(mean, var, n)
 
 
-_INFINITE_COUNT = np.full((2, 2, 2), np.inf)
-_INFINITE_COUNT.flags.writeable = False  # shared by every exact report
-
-
 def exact_stats(mean: np.ndarray, var: np.ndarray) -> ConditionedStats:
-    """Exact-expectation statistics for analytic paths: their counts are one shared read-only array of inf."""
-    return ConditionedStats(np.asarray(mean, dtype=float), np.asarray(var, dtype=float), _INFINITE_COUNT)
+    """Exact-expectation statistics (infinite counts) for analytic paths."""
+    return ConditionedStats(np.asarray(mean, dtype=float),
+                            np.asarray(var, dtype=float),
+                            np.full((2, 2, 2), np.inf))
 
 
 # ---------------------------------------------------------------------------

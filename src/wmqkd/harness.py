@@ -493,7 +493,7 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
             and knob not in adv.STRATEGY_FIELDS[base.attack.strategy]):
         raise ValueError(f"axis {axis!r} has no effect: attack.strategy = "
                          f"{base.attack.strategy!r} does not read {knob!r}")
-    rows, bb84_rate = [], None
+    rows = []
     for value in values:
         cfg = set_config_axis(base, axis, value)
         result = None if mode == "analytic" else run_protocol(cfg)
@@ -503,13 +503,11 @@ def sweep(base: ProtocolConfig, axis: str, values, mode: str = "analytic") -> li
                "qber": report.qber, "abort": report.abort}
         if result is None:
             delta_wm = wm_disturbance_error(cfg.pointer.g, cfg.pointer.sigma_md)
-            if bb84_rate is None or section in ("system", "decoy"):  # the BB84 chain reads only these
-                bb84_rate = bb84_decoy_chain(cfg.system, cfg.decoy).rate
             row.update(rate_smoothed=smoothed_rate(report.qber),
                        rate_split=max(split_rate(clip_error(report.delta_x_corrected),
                                                  clip_error(report.delta_z_corrected)), 0.0),
                        rate_wm_decoy=wm_decoy_chain(cfg.system, cfg.decoy, delta_wm).rate,
-                       rate_bb84_decoy=bb84_rate)
+                       rate_bb84_decoy=bb84_decoy_chain(cfg.system, cfg.decoy).rate)
         else:
             row.update(rate_smoothed=0.0 if report.abort else smoothed_rate(report.qber),
                        rate_split=float("nan"), rate_wm_decoy=result.key_rate, rate_bb84_decoy=float("nan"),

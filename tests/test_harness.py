@@ -21,17 +21,15 @@ from wmqkd.adversary import (
     AttackConfig,
     strategy1_predicted_qber,
 )
-from wmqkd.bloch import ChannelModel, bb84_bloch, binary_entropy, projector_axis, true_error_rates
+from wmqkd.bloch import ChannelModel, binary_entropy, true_error_rates
 from wmqkd.estimation import (
     CELLS,
     INTENSITY_SIGNAL,
-    ConditionedStats,
     EstimationThresholds,
     SignalLog,
     build_report,
     condition_and_average,
     delta_standard_errors,
-    exact_stats,
     report_from_stats,
 )
 from wmqkd.harness import (
@@ -50,7 +48,7 @@ from wmqkd.harness import (
     write_csv,
 )
 from wmqkd.keyrate import SystemParams
-from wmqkd.pointer import PointerConfig, pointer_variance, wm_disturbance_error
+from wmqkd.pointer import PointerConfig, wm_disturbance_error
 
 
 def small_cfg(**kwargs):
@@ -252,38 +250,9 @@ def reference_delta_standard_errors(stats):
     return float(ses[0]), float(ses[1]), float(ses[2])
 
 
-def reference_exact_cell_statistics(cfg):
-    """exact_cell_statistics with Eve's device defaults filled for every strategy
-    and the cell states and observable signs built on every call."""
-    attack = cfg.attack.with_device_defaults(cfg.pointer.g, cfg.pointer.sigma_md)
-    g, sig = cfg.pointer.g, cfg.pointer.sigma_md
-    if attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
-        return adv.strategy_fake_cell_laws(attack, g, sig)
-    s_a, basis, h = CELLS
-    r_x, r_z = cfg.channel.apply_array(*bb84_bloch(s_a, basis))
-    if attack.strategy == "intercept_resend":
-        r_x, r_z = adv.intercept_resend_mean_state(r_x, r_z, basis, attack.p_basis)
-    if attack.strategy == "biased_observables":
-        intended, swapped = adv.observable_biases(h, attack)
-        biases = (attack.p_h, intended), (1.0 - attack.p_h, swapped)
-    else:
-        biases = ((1.0, 0.0),)
-    damp = math.exp(-0.5 * cfg.pointer.sigma_phi**2)
-    sign = np.where(h == 0, 1.0, -1.0)
-    e = 0.0
-    for weight, bias in biases:
-        axis_x, axis_z = projector_axis(sign, (math.pi / 4 + cfg.pointer.bias_phi) + bias)
-        e = e + weight * 0.5 * (1.0 + damp * (axis_x * r_x + axis_z * r_z))
-    return g * e, pointer_variance(e, g, sig)
-
-
 def use_per_call_reference(monkeypatch):
-    """Route the analytic report through the per-call reference formulas and
-    fresh (writeable) infinite-count arrays."""
+    """Route the standard errors of every report through the per-call reference."""
     monkeypatch.setattr(estimation, "delta_standard_errors", reference_delta_standard_errors)
-    monkeypatch.setattr(harness, "exact_cell_statistics", reference_exact_cell_statistics)
-    monkeypatch.setattr(harness, "exact_stats", lambda mean, var: ConditionedStats(
-        np.asarray(mean, dtype=float), np.asarray(var, dtype=float), np.full((2, 2, 2), np.inf)))
 
 
 def _random_analytic_config(rng):
@@ -595,6 +564,20 @@ class TestAnalyticMode:
             assert mean.tobytes() == (g * e).tobytes()
             assert var.tobytes() == (sig**2 + g**2 * e * (1.0 - e)).tobytes()
         assert seen == {"none", "intercept_resend", "biased_observables"}
+        # the fake-WM laws fill Eve's device defaults themselves; check them against filling first
+        for strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):
+            for _ in range(50):
+                base = _random_analytic_config(rng)
+                g, sig = base.pointer.g, base.pointer.sigma_md
+                attack = AttackConfig(strategy=strategy, p_basis=float(rng.uniform(0.5, 1.0)),
+                                      p_h=float(rng.uniform(0.55, 1.0)), alpha=float(rng.uniform(0.5, 2.0)),
+                                      alpha_x=float(rng.uniform(0.5, 2.0)), alpha_z=float(rng.uniform(0.5, 2.0)),
+                                      g_eve=rng.choice([None, float(rng.uniform(0.0, 1.0))]),
+                                      sigma_eve=rng.choice([None, float(rng.uniform(0.5, 2.0))]))
+                mean, var = exact_cell_statistics(replace(base, attack=attack))
+                want = adv.strategy_fake_cell_laws(attack.with_device_defaults(g, sig), g, sig)
+                assert mean.tobytes() == want[0].tobytes()
+                assert var.tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("system", ["lossless", "lossy"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -620,17 +603,6 @@ class TestAnalyticMode:
             want = reference_delta_standard_errors(stats), report().to_text()
         assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()  # NaN and -0.0 compare by bits
         assert got[1] == want[1]
-
-    def test_exact_counts_are_shared_and_read_only(self):
-        a = analytic_report(ProtocolConfig())
-        b = analytic_report(ProtocolConfig(channel=ChannelModel(depolarizing_prob=0.1)))
-        stats = exact_stats(a.cell_mean, a.cell_var)
-        assert a.cell_count is b.cell_count is stats.count
-        for count in (stats.count, a.cell_count):
-            assert not count.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                count[0, 0, 0] = 1.0
-        assert np.all(np.isinf(b.cell_count))
 
     def test_delta_b_never_understates_the_channel(self):
         # the paper's robustness claim: angle noise and a fixed device bias can
@@ -736,7 +708,7 @@ class TestSweep:
         ("decoy.nu", [0.02, 0.05, 0.1]),
     ])
     def test_sweep_rows_equal_one_point_sweeps(self, axis, values):
-        # the BB84 chain is computed once per sweep unless the axis moves the system or the decoys
+        # a sweep's rows do not depend on the other values swept; only system and decoy axes move the BB84 chain
         base = ProtocolConfig(system=SystemParams())
         rows = sweep(base, axis, values)
         assert rows == [sweep(base, axis, [v])[0] for v in values]
