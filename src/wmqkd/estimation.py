@@ -17,8 +17,8 @@ One definition per report convention lives here: CELLS indexes the eight
 (bit, basis, observable) cells, a report's gains are the tuple
 (Q_mu, Q_nu, Q_vac) in class-code order, `EstimationReport.items` is the
 ordered (key, value) table that names every report key, and `text_value`
-writes every report and CSV value.  The variance-equality p-values come from
-scipy.special.fdtrc, the F distribution's survival function.
+writes every report and CSV value.  Sampled variance-equality p-values come
+from scipy.special.fdtrc, imported at first use; the analytic path loads none.
 
 Estimates are never clipped: a negative delta is the designed attack tripwire
 and must reach the nonnegativity check.  The nonnegativity verdict allows a
@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from itertools import islice, product
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .pointer import wm_disturbance_error
 
@@ -600,6 +599,7 @@ def wm_verification(report: EstimationReport, thresholds: EstimationThresholds) 
         equal = bool(max_ratio <= 1.0 + branch_allowance + 1e-9)
         min_p = 1.0
     else:
+        from scipy.special import fdtrc  # imported here: the analytic path and its CLI commands load no scipy
         counts = report.cell_count.reshape(8)
         p = fdtrc(counts[i] - 1, counts[j] - 1, ratio)
         min_p = float(np.min(2.0 * np.minimum(p, 1.0 - p)))  # propagates a NaN p-value: the check fails

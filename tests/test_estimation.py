@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -446,6 +447,37 @@ class TestVerification:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.stdout.strip() == "False"
+
+    def test_analytic_path_loads_no_scipy(self, tmp_path):
+        # only a sampled report's variance-equality check needs scipy.special,
+        # so a cold process on the analytic path and its CLI commands starts without it
+        code = textwrap.dedent(f"""
+            import sys
+            import wmqkd
+            from wmqkd import cli, estimation, harness
+            from wmqkd.adversary import STRATEGIES, AttackConfig
+            from wmqkd.bloch import ChannelModel
+            from wmqkd.pointer import PointerConfig
+            for strategy in STRATEGIES:
+                attack = AttackConfig(strategy=strategy, p_basis=0.9, p_h=0.9, alpha=1.0, alpha_x=1.0, alpha_z=1.0)
+                harness.analytic_report(harness.ProtocolConfig(attack=attack))
+            for axis, value in (("pointer.g", 0.3), ("channel.depolarizing_prob", 0.1),
+                                ("system.distance_km", 20.0)):
+                harness.sweep(harness.ProtocolConfig(), axis, [value], mode="analytic")
+            harness.fig3_dataset(), harness.fig5_dataset(), harness.fig6_dataset()
+            out = {str(tmp_path)!r}
+            assert cli.main(["--out", out, "figures", "--which", "fig6"]) == cli.EXIT_OK
+            assert cli.main(["--out", out, "sweep", "--axis", "pointer.g", "--values", "0.2,0.3",
+                             "--mode", "analytic"]) == cli.EXIT_OK
+            print('scipy' in sys.modules)
+            log = harness.channel_estimation_log(ChannelModel(), PointerConfig(0.5, 1.0), 2000, 3)
+            estimation.build_report(log, estimation.EstimationThresholds().with_device_defaults(0.5, 1.0))
+            print('scipy.special' in sys.modules)
+            """)
+        src = os.path.dirname(os.path.dirname(estimation.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.split()[-2:] == ["False", "True"]
 
     @pytest.mark.parametrize("z", [math.inf, math.nan])
     def test_nonneg_z_must_be_finite(self, z):

@@ -172,32 +172,33 @@ class TestSampling:
             se = math.sqrt(delta * (1 - delta) / n)
             assert flips.mean() == pytest.approx(delta, abs=4 * se)
 
-    def test_angle_noise_mean_invariant_variance_grows(self):
-        """Two two-sided checks at 2 of the stated standard errors: nominal
-        false-alarm rate 4.6e-2 each (normal tail), 8.9e-2 for the pair.  The
-        stated se_mean and se_var are 4 times the unit-variance scale, so the
-        readings' own spread (variance about 1 + g^2/4) puts each band near 5.5
-        standard deviations of the difference, about 3e-8."""
-        # sigma_phi leaves the mean unchanged; the variance grows by
-        # g^2 (h - 1/2)^2 sigma_phi^2, i.e. g^2 sigma_phi^2 / 8 at BB84 inputs
-        # (the worst-case coefficient over all states is 1/4)
-        g, sphi = 0.4, 0.3
-        n = 400_000
+    def test_angle_noise_damps_mean_and_grows_variance(self):
+        """Two two-sided checks at 4 standard errors of the difference itself,
+        each estimated from the readings: nominal false-alarm rate 6.3e-5 each
+        (normal tail), 1.3e-4 for the pair.  At sigma_phi = 1, g = 0.5 and
+        n = 1.5e6 a pointer that ignored sigma_phi would sit about 58 standard
+        errors off the mean shift and 12 off the variance growth."""
+        # angle noise shortens the mean projector axis by e^{-sigma_phi^2/2}: at a
+        # BB84 input the mean reading moves by (g/2) cos(pi/4) (e^{-sigma_phi^2/2} - 1)
+        # and the variance grows by g^2 (1 - e^{-sigma_phi^2}) / 8, within the
+        # small-noise worst case g^2 sigma_phi^2 / 4 over all states
+        g, sphi = 0.5, 1.0
+        n = 1_500_000
         s = bb84(0, 0)
-        rng0 = np.random.default_rng(7)
-        quiet = PointerConfig(g=g, sigma_md=1.0)
-        noisy = PointerConfig(g=g, sigma_md=1.0, sigma_phi=sphi)
-        om0, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n),
-                              np.full(n, math.pi / 4), quiet, rng0)
-        rng1 = np.random.default_rng(8)
-        om1, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n),
-                              np.full(n, math.pi / 4), noisy, rng1)
-        se_mean = 4 / math.sqrt(n)
-        assert om1.mean() == pytest.approx(om0.mean(), abs=2 * se_mean)
-        growth = om1.var(ddof=1) - om0.var(ddof=1)
-        predicted = g * g * (1 - math.exp(-sphi * sphi)) / 8.0
-        se_var = 4 * math.sqrt(2.0 / n)  # var-of-variance scale, sigma^2 ~ 1
-        assert growth == pytest.approx(predicted, abs=2 * se_var)
+        om0, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n), np.full(n, math.pi / 4),
+                              PointerConfig(g=g, sigma_md=1.0), np.random.default_rng(7))
+        om1, _ = measure_rows(np.tile(s, (n, 1)), np.ones(n), np.full(n, math.pi / 4),
+                              PointerConfig(g=g, sigma_md=1.0, sigma_phi=sphi), np.random.default_rng(8))
+        var0, var1 = om0.var(ddof=1), om1.var(ddof=1)
+        shift = om1.mean() - om0.mean()
+        se_shift = math.sqrt((var0 + var1) / n)
+        assert shift == pytest.approx(0.5 * g * math.cos(math.pi / 4) * math.expm1(-0.5 * sphi * sphi),
+                                      abs=4 * se_shift)
+        # a sample variance's variance is (m4 - var^2) / n, m4 the fourth central moment
+        m4 = [np.mean((om - om.mean()) ** 4) for om in (om0, om1)]
+        se_growth = math.sqrt((m4[0] - var0**2 + m4[1] - var1**2) / n)
+        predicted = g * g * -math.expm1(-sphi * sphi) / 8.0
+        assert var1 - var0 == pytest.approx(predicted, abs=4 * se_growth)
         assert predicted <= 0.25 * g * g * sphi * sphi  # worst-case bound
 
     def test_bias_phi_shifts_mean(self):
