@@ -14,18 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-from .config import ConfigError, DEFAULT_CONFIG, config_with_seed, parse_config, parse_config_text
-from .estimation import EstimationError, build_report, read_signal_log, text_table
-from .harness import (
-    fig3_dataset,
-    fig5_dataset,
-    fig6_dataset,
-    rows_to_csv,
-    run_protocol,
-    sweep,
-    write_csv,
-)
+from .config import ConfigError, DEFAULT_CONFIG, parse_config, parse_config_text
+from .estimation import EstimationError, build_report, csv_text, read_signal_log, text_table
+from .harness import fig3_dataset, fig5_dataset, fig6_dataset, run_protocol, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +64,15 @@ def _bind_values(argv: list[str]) -> list[str]:
 
 def _load_config(args):
     cfg = parse_config(args.config) if args.config else parse_config_text(DEFAULT_CONFIG)
-    return config_with_seed(cfg, args.seed)
+    return cfg if args.seed is None else replace(cfg, master_seed=args.seed)
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 # the run's table keys that run_summary.csv writes, each under its last dotted segment
@@ -79,31 +80,22 @@ _CSV_KEYS = ("qber", "abort", "estimate.delta_x", "estimate.delta_z", "estimate.
              "run.sifted_key_length", "run.ground_truth_sifted_error", "run.key_rate")
 
 
-def _emit_run(result, out_dir: str, fmt: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    table = dict(result.items())
-    if fmt == "report":
-        path = os.path.join(out_dir, "run_report.txt")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text_table(table.items()))
-    else:
-        path = os.path.join(out_dir, "run_summary.csv")
-        write_csv(path, [key.rpartition(".")[2] for key in _CSV_KEYS], [[table[key] for key in _CSV_KEYS]])
-    print(f"wrote {path}")
-    print(f"qber = {result.qber:.6g}  abort = {result.abort}  key_rate = {result.key_rate:.6g}")
-
-
-def _cmd_run(args, require_attack: bool) -> int:
-    cfg = _load_config(args)
-    if require_attack and cfg.attack.strategy == "none":
+def _cmd_run(args, cfg) -> int:
+    """run, and attack, which needs an attack strategy in the config."""
+    if args.command == "attack" and cfg.attack.strategy == "none":
         raise UsageError("the attack subcommand needs attack.strategy set in the config")
     result = run_protocol(cfg)
-    _emit_run(result, args.out, args.format)
+    table = dict(result.items())
+    if args.format == "report":
+        _write(args.out, "run_report.txt", text_table(table.items()))
+    else:
+        header = [key.rpartition(".")[2] for key in _CSV_KEYS]
+        _write(args.out, "run_summary.csv", csv_text(header, [[table[key] for key in _CSV_KEYS]]))
+    print(f"qber = {result.qber:.6g}  abort = {result.abort}  key_rate = {result.key_rate:.6g}")
     return EXIT_ABORT if result.abort else EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -111,54 +103,37 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise UsageError("--values is empty")
     rows = sweep(cfg, args.axis, values, mode=args.mode)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
-    rows_to_csv(path, rows)
-    print(f"wrote {path}")
+    _write(args.out, "sweep.csv", csv_text(rows[0].keys(), [row.values() for row in rows]))
     return EXIT_OK
 
 
-def _cmd_figures(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    header, rows = {"fig3": fig3_dataset, "fig5": fig5_dataset, "fig6": fig6_dataset}[args.which]()
-    path = os.path.join(args.out, f"{args.which}.csv")
-    write_csv(path, header, rows)
-    print(f"wrote {path}")
+def _cmd_figures(args, cfg) -> int:
+    dataset = {"fig3": fig3_dataset, "fig5": fig5_dataset, "fig6": fig6_dataset}[args.which]
+    _write(args.out, f"{args.which}.csv", csv_text(*dataset()))
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def _cmd_verify(args, cfg) -> int:
     try:
         log = read_signal_log(args.logfile)
     except (OSError, EstimationError) as exc:
         raise UsageError(f"cannot read signal log {args.logfile}: {exc}") from exc
     report = build_report(log, cfg.resolved_thresholds())
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "verify_report.txt")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(report.to_text())
-    print(f"wrote {path}")
+    _write(args.out, "verify_report.txt", report.to_text())
     for name, ok in report.verdicts.as_dict().items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if report.verdicts.all_pass else EXIT_ABORT
+
+
+_COMMANDS = {"run": _cmd_run, "attack": _cmd_run, "sweep": _cmd_sweep, "figures": _cmd_figures,
+             "verify": _cmd_verify}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
-        if args.command == "run":
-            return _cmd_run(args, require_attack=False)
-        if args.command == "attack":
-            return _cmd_run(args, require_attack=True)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "figures":
-            return _cmd_figures(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, _load_config(args))
     except (UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

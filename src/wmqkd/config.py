@@ -79,13 +79,14 @@ def _line_of(text: str, section: str, key: str | None) -> int:
             header = stripped
             if key is None and header == f"[{section}]":
                 return i
-        elif header == f"[{section}]" and re.split("[=:]", stripped, maxsplit=1)[0].strip() == key:
+        elif header == f"[{section}]" and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
             return i
     return 0
 
 
 def parse_config_text(text: str) -> ProtocolConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: configparser would copy a [DEFAULT] key into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -124,7 +125,3 @@ def parse_config(path) -> ProtocolConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
-
-
-def config_with_seed(cfg: ProtocolConfig, seed: int | None) -> ProtocolConfig:
-    return cfg if seed is None else replace(cfg, master_seed=seed)

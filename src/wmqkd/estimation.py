@@ -65,6 +65,11 @@ def text_table(items) -> str:
     return "".join(f"{key} = {text_value(value)}\n" for key, value in items)
 
 
+def csv_text(header, rows) -> str:
+    """Locale-independent CSV: the header line, then one `text_value` line per row."""
+    return "".join(",".join(map(text_value, row)) + "\n" for row in [header, *rows])
+
+
 # ---------------------------------------------------------------------------
 # signal log
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .estimation import (
     dark_count_fraction,
     exact_stats,
     report_from_stats,
-    text_value,
 )
 from .keyrate import (
     DecoyConfig,
@@ -436,7 +435,7 @@ def _honest_cell_expectations(cfg: ProtocolConfig) -> np.ndarray:
 def exact_cell_statistics(cfg: ProtocolConfig):
     """Exact (mean, variance) of the conditioned readings under the configured attack."""
     g, sig = cfg.pointer.g, cfg.pointer.sigma_md
-    if cfg.attack.strategy in ("fake_wm_strategy1", "fake_wm_strategy2"):  # these fill g_eve, sigma_eve themselves
+    if cfg.attack.strategy in _FAKED:  # these fill g_eve, sigma_eve themselves
         return adv.strategy_fake_cell_laws(cfg.attack, g, sig)
     e = _honest_cell_expectations(cfg)
     return g * e, pointer_variance(e, g, sig)
@@ -569,19 +568,3 @@ def fig6_dataset():
         p = SystemParams(distance_km=float(d))
         rows.append([float(d), wm_decoy_chain(p, decoy, delta_wm).rate, bb84_decoy_chain(p, decoy).rate])
     return header, rows
-
-
-def write_csv(path, header, rows) -> None:
-    """Locale-independent CSV: fixed column order, full double precision."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(text_value(v) for v in row) + "\n")
-
-
-def rows_to_csv(path, rows: list[dict]) -> None:
-    """Write sweep dict-rows with a stable column order."""
-    if not rows:
-        raise ValueError("no rows to write")
-    header = list(rows[0].keys())
-    write_csv(path, header, [[row[k] for k in header] for row in rows])

@@ -62,6 +62,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"unknown section \[detector\]"):
             parse_config_text("[detector]\nefficiency = 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[pointer]\nG = abc\n", r"line 2: bad value for \[pointer\] g"),
+        ("[pointer]\nFoo = 1\n", r"line 2: unknown key 'foo'"),
+    ], ids=["bad_value", "unknown_key"])
+    def test_upper_case_key_diagnostic_has_its_line(self, text, message):
+        # configparser lowercases a key, the text keeps its case
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\ndelta_sec = 0.3\n", "[DEFAULT]\ng = 0.2\n[pointer]\n"],
+                             ids=["alone", "before_pointer"])
+    def test_default_section_is_unknown(self, text):
+        # configparser would copy its keys into every section, or drop them
+        with pytest.raises(ConfigError, match=r"line 1: unknown section \[DEFAULT\]"):
+            parse_config_text(text)
+
     def test_bad_value_diagnostic(self):
         with pytest.raises(ConfigError, match=r"bad value"):
             parse_config_text("[pointer]\ng = fast\n")
@@ -137,6 +153,30 @@ class TestConfigParsing:
             assert swept.resolved_thresholds().g_sec == 0.07
         rows = sweep(cfg, "pointer.g_over_sigma", [0.05, 0.1, 0.2])
         assert [row["abort"] for row in rows] == [False, True, True]
+
+
+@pytest.mark.parametrize("config, command, message", [
+    ("[run]\nn_signals = 0\n", ["run"], "n_signals must be >= 1"),
+    ("[source]\np_signal = 0.5\n", ["run"], "intensity_probs must sum to 1"),
+    ("[thresholds]\ndelta_sec = 0.5\n", ["run"], "delta_sec must be in (0, 0.5)"),
+    ("[thresholds]\nvariance_equality_significance = 1\n", ["run"],
+     "variance_equality_significance must be in (0, 1)"),
+    ("[channel]\ndepolarizing_prob = 1.5\n", ["run"], "depolarizing_prob must be in [0,1]"),
+    ("[system]\ne_d = 0.6\n", ["run"], "e_d must be in [0, 0.5]"),
+    ("g = 0.1\n[pointer]\n", ["run"], "config parse error"),
+    ("[DEFAULT]\ng = 0.2\n[pointer]\n", ["run"], "line 1: unknown section [DEFAULT]"),
+    ("", ["verify", "LOG"], "empty signal log"),
+    ("", ["sweep", "--axis", "pointer.g", "--values", "1,abc"],
+     "bad --values list: could not convert string to float: 'abc'"),
+], ids=["n_signals", "source_sum", "delta_sec", "significance", "depolarizing", "e_d",
+        "no_section", "default_section", "header_only_log", "non_numeric_value"])
+def test_boundary_error_is_usage_error(tmp_path, capsys, config, command, message):
+    cfg = write(tmp_path, "run.ini", config)
+    log = write(tmp_path, "log.csv", "s_A,b,h,omega,s_B,intensity_class\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), *(log if arg == "LOG" else arg for arg in command)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRunCommand:
@@ -378,6 +418,16 @@ class TestFiguresCommand:
 
     def test_unknown_figure(self, tmp_path):
         assert main(["--out", str(tmp_path), "figures", "--which", "fig9"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("config", ["absent.ini", "bad.ini"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, config):
+        # figures reads no setting, but a config it cannot use is still an error
+        write(tmp_path, "bad.ini", "[run]\nn_signals = 0\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(tmp_path / config), "--out", str(out), "figures", "--which", "fig3"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -612,6 +612,10 @@ class TestSignalLogFlags:
         with pytest.raises(ValueError, match="column 'omega' holds a non-finite reading"):
             SignalLog(*([np.zeros(40)] * 3), omega, np.zeros(40), np.zeros(40))
 
+    def test_column_length_mismatch_is_rejected(self):
+        with pytest.raises(ValueError, match="column 'omega' length mismatch"):
+            SignalLog(*([np.zeros(3)] * 3), np.zeros(2), np.zeros(3), np.zeros(3))
+
     def test_in_range_flags_are_kept(self):
         log = SignalLog([0, 1, 1], [1, 0, 1], [0, 1, 0], [0.1, 0.2, 0.3], [-1, 0, 1], [0, 1, 2])
         assert np.array_equal(log.s_b, [-1, 0, 1]) and np.array_equal(log.intensity, [0, 1, 2])

@@ -29,6 +29,7 @@ from wmqkd.estimation import (
     SignalLog,
     build_report,
     condition_and_average,
+    csv_text,
     delta_standard_errors,
     report_from_stats,
 )
@@ -45,7 +46,6 @@ from wmqkd.harness import (
     set_config_axis,
     stage_block_generator,
     sweep,
-    write_csv,
 )
 from wmqkd.keyrate import SystemParams
 from wmqkd.pointer import PointerConfig, wm_disturbance_error
@@ -798,11 +798,8 @@ class TestFigureDatasets:
 
 
 class TestCsv:
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         header, rows = fig3_dataset()
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(p1, header, rows)
-        write_csv(p2, header, rows)
-        assert p1.read_bytes() == p2.read_bytes()
-        text = p1.read_text()
+        text = csv_text(header, rows)
+        assert text == csv_text(header, rows)
         assert text.splitlines()[0] == "g_over_sigma,channel_error,rate"
