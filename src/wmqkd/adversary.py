@@ -137,11 +137,6 @@ def strategy1_predicted_qber(alpha: float, p_h: float) -> float:
     return 0.5 * (1.0 - alpha * p_h)
 
 
-def strategy1_variance_ratio(p_h: float) -> float:
-    """Predicted X/Z conditioned pointer-variance ratio 1/(2 p_H - 1)^2."""
-    return 1.0 / (2.0 * p_h - 1.0) ** 2
-
-
 def strategy2_qber_lower_bound(p_basis: float, p_h: float, sigma_ratio: float) -> float:
     """Lower bound (1 - (sigma_sec/sigma_md) p_basis p_H)/2 on the estimated QBER.
 
@@ -151,11 +146,6 @@ def strategy2_qber_lower_bound(p_basis: float, p_h: float, sigma_ratio: float) -
     if sigma_ratio < 1.0:
         raise ValueError(f"sigma_ratio = sigma_sec/sigma_md must be >= 1, got {sigma_ratio}")
     return 0.5 * (1.0 - sigma_ratio * p_basis * p_h)
-
-
-def strategy2_sigma_ratio_crossover(p_product: float, delta_sec: float) -> float:
-    """sigma_sec/sigma_md at which the Strategy-2 bound meets delta_sec."""
-    return (1.0 - 2.0 * delta_sec) / p_product
 
 
 def _fake_cell_table(attack: AttackConfig, g: float, sigma_md: float):

@@ -31,6 +31,8 @@ statistics carry count = inf, so their standard errors are 0 by arithmetic;
 from __future__ import annotations
 
 import math
+import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice, product
 
@@ -128,6 +130,8 @@ _ROW_TEMPLATES = np.array([_ROW_FORMAT % flags for flags in product(*_FLAG_VALUE
 _WRITE_CHUNK = 1 << 16
 _SCAN_CHUNK = 1 << 16  # characters
 _READ_ROWS = 1 << 16
+_FLAG_BLOCK = np.dtype([(name, np.int8 if name in _FLAG_VALUES else float) for name in _COLUMN_DTYPES])  # 13 B
+_FLOAT_BLOCK = np.dtype([(name, float) for name in _COLUMN_DTYPES])  # a flag spelled 1.0, 1e0 or past int8
 
 
 def write_signal_log(path, log: SignalLog) -> None:
@@ -196,23 +200,29 @@ def _bad_record_error(path, first: int) -> EstimationError | None:
 
 
 def _reject_bad_values(path, first_row: int, block: np.ndarray) -> None:
-    """Raise for the first flag out of range or non-finite reading in a parsed block."""
+    """Raise for the first flag out of range or non-finite reading in a parsed block, in file order."""
+    if block.dtype == _FLAG_BLOCK and np.isfinite(block["omega"]).all() and all(
+            low <= block[name].min() <= block[name].max() <= high for name, (low, *_, high) in _FLAG_VALUES.items()):
+        return  # integer flags within their range of consecutive values
     flags = [_FLAG_VALUES.get(name) for name in _COLUMN_DTYPES]  # None for omega
-    bad = np.column_stack([~np.isfinite(values) if wanted is None else ~np.isin(values, wanted)
-                           for wanted, values in zip(flags, block.T)])
+    bad = np.column_stack([~np.isfinite(block[name]) if wanted is None else ~np.isin(block[name], wanted)
+                           for name, wanted in zip(_COLUMN_DTYPES, flags)])
     if bad.any():
         row, field = divmod(int(np.argmax(bad)), len(_LOG_FIELDS))
         wanted = "a finite reading" if flags[field] is None else f"one of {flags[field]}"
         raise EstimationError(f"{path} line {first_row + row + 2}: {_LOG_FIELDS[field]} = "
-                              f"{block[row, field]:g} is not {wanted}")
+                              f"{block[row][field]:g} is not {wanted}")
 
 
 def read_signal_log(path) -> SignalLog:
     """Read an interchange file, rejecting blank and comment lines, records
     without six numeric fields, flags out of range and non-finite readings; an
     error names the first bad line.  Records are parsed a block at a time straight
-    into the log's typed columns, so the parse holds one float64 block beside them;
-    only the records before a blank or comment line are parsed."""
+    into the log's typed columns, so the parse holds one block of int8 flags and
+    float64 readings (13 B per record) beside them.  From the first block with a
+    flag spelled otherwise (1.0, a stray 200) on, blocks parse with float64 flags,
+    to the same columns or error.  Only the records before a blank or comment
+    line are parsed."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SIGNAL_LOG_HEADER:
@@ -222,16 +232,25 @@ def read_signal_log(path) -> SignalLog:
         fh.seek(0)
         fh.readline()
         columns = {name: np.empty(records, dtype) for name, dtype in _COLUMN_DTYPES.items()}
-        for lo in range(0, records, _READ_ROWS):
-            try:
-                block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=min(_READ_ROWS, records - lo))
-            except ValueError as exc:  # a field count differs from the first's, or a field is no number
-                raise _bad_record_error(path, lo) or exc
-            if block.shape[1] != len(_LOG_FIELDS):
-                raise _bad_record_error(path, lo)
-            _reject_bad_values(path, lo, block)
-            for column, values in zip(columns.values(), block.T):
-                column[lo:lo + len(block)] = values
+        lo, block_dtype = 0, _FLAG_BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # numpy < 2.4 reads an int8 '0.5' as 0 with a warning
+            while lo < records:
+                rows = min(_READ_ROWS, records - lo)
+                try:
+                    block = np.loadtxt(fh, delimiter=",", dtype=block_dtype, ndmin=1, max_rows=rows)
+                except (ValueError, DeprecationWarning) as exc:  # no six fields, or a field not of its type
+                    if block_dtype == _FLOAT_BLOCK:
+                        raise _bad_record_error(path, lo) or exc
+                    block_dtype = _FLOAT_BLOCK  # for the rest of the file, so the skip below runs once
+                    fh.seek(0)  # text-mode tell() fails after iteration: skip back to the block's first record
+                    deque(islice(fh, lo + 1), maxlen=0)
+                    continue
+                _reject_bad_values(path, lo, block)
+                for name, column in columns.items():
+                    column[lo:lo + len(block)] = block[name]
+                lo += rows
+                del block  # so that the next block's parse does not hold two
     if blank_or_comment:
         raise blank_or_comment
     if records == 0:

@@ -380,8 +380,8 @@ def _estimated_key_rate(report: EstimationReport, cfg: ProtocolConfig) -> float:
     """Decoy rate evaluated on the run's estimated gains and error rates."""
     q_mu, q_nu, q_vac = report.gains
     if q_nu <= 0.0 or q_mu <= 0.0:
-        # no decoy data: fall back to the idealized rate at the estimated QBER
-        return smoothed_rate(report.qber)
+        # no decoy data: fall back to the idealized rate at the estimated QBER; no signal click, no key
+        return smoothed_rate(report.qber) if q_mu > 0.0 else 0.0
     dz_mu = clip_error(report.delta_z_corrected + (1.0 - report.dark_fraction_signal) * report.delta_wm_estimate)
     dx_nu = report.delta_x_decoy_corrected
     if dx_nu is None:

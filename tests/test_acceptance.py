@@ -15,9 +15,7 @@ from wmqkd.adversary import (
     biased_estimates,
     optimal_bias_angles,
     strategy1_predicted_qber,
-    strategy1_variance_ratio,
     strategy2_qber_lower_bound,
-    strategy2_sigma_ratio_crossover,
 )
 from wmqkd.bloch import (
     ChannelModel,
@@ -47,6 +45,8 @@ from wmqkd.harness import (
 )
 from wmqkd.keyrate import DecoyConfig, SystemParams, bb84_decoy_chain, wm_decoy_chain
 from wmqkd.pointer import PointerConfig, measure_array, wm_disturbance_error
+
+from test_paper_formulas import strategy1_variance_ratio, strategy2_sigma_ratio_crossover
 
 G_SIGMA = 0.05
 

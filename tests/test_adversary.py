@@ -11,13 +11,13 @@ from wmqkd.adversary import (
     optimal_bias_angles,
     sample_strategy_fakes,
     strategy1_predicted_qber,
-    strategy1_variance_ratio,
     strategy2_qber_lower_bound,
-    strategy2_sigma_ratio_crossover,
     strategy_fake_cell_laws,
 )
 from wmqkd.bloch import ChannelModel, bb84_bloch, binary_entropy, channel_r_parameters
 from wmqkd.pointer import PointerConfig, measure_array
+
+from test_paper_formulas import strategy1_variance_ratio
 
 
 def z0_states(n):
@@ -132,21 +132,11 @@ class TestStrategyFormulas:
         assert strategy1_predicted_qber(0.0, 0.7) == 0.5
         assert strategy1_predicted_qber(1.0, 0.9) == pytest.approx(0.05)
 
-    def test_strategy1_variance_ratio(self):
-        assert strategy1_variance_ratio(0.9) == pytest.approx(1.5625)
-        assert strategy1_variance_ratio(1.0) == 1.0
-
     def test_strategy2_bound(self):
         assert strategy2_qber_lower_bound(0.7, 0.5, 1.0) == pytest.approx(0.325)
         assert strategy2_qber_lower_bound(1.0, 1.0, 1.0) == 0.0
         with pytest.raises(ValueError):
             strategy2_qber_lower_bound(0.7, 0.5, 0.9)
-
-    def test_strategy2_crossover(self):
-        # at p_basis p_H = 0.35 and delta_sec = 0.11, sigma_sec/sigma_md = 0.78/0.35
-        ratio = strategy2_sigma_ratio_crossover(0.35, 0.11)
-        assert ratio == pytest.approx(2.2285714285714286, abs=1e-12)
-        assert strategy2_qber_lower_bound(0.7, 0.5, ratio) == pytest.approx(0.11, abs=1e-12)
 
     def test_strategy2_cell_laws_select_alpha_by_basis(self):
         attack = AttackConfig(strategy="fake_wm_strategy2", p_basis=0.9, p_h=0.9, alpha_x=2.0, alpha_z=3.0)

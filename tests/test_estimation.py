@@ -2,10 +2,12 @@ import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -731,6 +733,129 @@ class TestSignalLogIO:
         path.write_text(SIGNAL_LOG_HEADER + "\n" + "0,0,0,0.1,0,0\n" * 70_000 + record + "\n")
         with pytest.raises(EstimationError, match=f"line 70002: {message}$"):
             read_signal_log(path)
+
+    @staticmethod
+    def respelled_log(tmp_path, monkeypatch, row, field, text):
+        """A 40-record log file with record `row`'s field `field` (a column index,
+        or every flag written 1) spelled `text`, read in 16-record parse blocks."""
+        monkeypatch.setattr(estimation, "_READ_ROWS", 16)
+        log = make_log(n=40, seed=42, intensity=np.arange(40) % 3)
+        log.s_b[::5] = -1
+        log.s_a[row] = log.h[row] = 1
+        path = tmp_path / "log.csv"
+        write_signal_log(path, log)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[row + 1].rstrip("\n").split(",")
+        for k in [field] if field is not None else [k for k, value in enumerate(fields) if value == "1" and k != 3]:
+            fields[k] = text
+        lines[row + 1] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        return path, log
+
+    @pytest.mark.parametrize("row", [2, 18])  # in the first and in the second parse block
+    @pytest.mark.parametrize("spelling", ["1.0", "1e0", "+1", " 1"])
+    def test_other_flag_spellings_read_as_canonical(self, tmp_path, monkeypatch, row, spelling):
+        path, log = self.respelled_log(tmp_path, monkeypatch, row, None, spelling)
+        assert path.read_text().splitlines()[row + 1].startswith(f"{spelling},")
+        back = read_signal_log(path)
+        for name in ("s_a", "b", "h", "omega", "s_b", "intensity"):
+            column = getattr(back, name)
+            assert column.dtype == getattr(log, name).dtype and column.base is None, name
+            assert np.array_equal(column, getattr(log, name)), name
+
+    @pytest.mark.parametrize("read_rows", [1, 16, 1 << 16])  # one-record blocks too
+    def test_crlf_line_ends_read_as_canonical(self, tmp_path, monkeypatch, read_rows):
+        monkeypatch.setattr(estimation, "_READ_ROWS", read_rows)
+        log = make_log(n=40, seed=43, intensity=np.arange(40) % 3)
+        path = tmp_path / "log.csv"
+        write_signal_log(path, log)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = read_signal_log(path)
+        for name in ("s_a", "b", "h", "omega", "s_b", "intensity"):
+            assert np.array_equal(getattr(back, name), getattr(log, name)), name
+
+    @pytest.mark.parametrize("row", [2, 18])
+    @pytest.mark.parametrize("field, text, message", [
+        (0, "200", "s_A = 200 is not one of (0, 1)"),           # a uint8 stray, past int8
+        (4, "40000", "s_B = 40000 is not one of (-1, 0, 1)"),    # past int16
+        (2, "7", "h = 7 is not one of (0, 1)"),
+        (0, "-1", "s_A = -1 is not one of (0, 1)"),
+        (5, "3.0", "intensity_class = 3 is not one of (0, 1, 2)"),
+        (1, "0.5", "b = 0.5 is not one of (0, 1)"),
+        (3, "inf", "omega = inf is not a finite reading"),
+    ])
+    def test_stray_flag_names_its_line(self, tmp_path, monkeypatch, row, field, text, message):
+        path, _ = self.respelled_log(tmp_path, monkeypatch, row, field, text)
+        with pytest.raises(EstimationError, match=f"line {row + 2}: {re.escape(message)}$"):
+            read_signal_log(path)
+
+    def test_stray_flag_after_a_float_spelled_flag(self, tmp_path, monkeypatch):
+        # the float re-read names the stray flag in the respelled record's block,
+        # not the non-number in a later block
+        path, _ = self.respelled_log(tmp_path, monkeypatch, 17, None, "1.0")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[20] = "0,3," + lines[20].split(",", 2)[2]
+        lines[36] = "0,0,x,0.1,0,0\n"
+        path.write_text("".join(lines))
+        with pytest.raises(EstimationError, match="line 21: b = 3 is not one of"):
+            read_signal_log(path)
+
+    def test_fallback_parses_no_earlier_block_again(self, tmp_path, monkeypatch):
+        # flags spelled 1.0 in the last of three blocks cost one float parse of that
+        # block, not a re-read of the file
+        path, log = self.respelled_log(tmp_path, monkeypatch, 35, None, "1.0")
+        parses, loadtxt = [], np.loadtxt
+
+        def counted_loadtxt(*args, dtype, **kwargs):
+            parses.append(dtype)
+            return loadtxt(*args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        back = read_signal_log(path)
+        assert parses == [estimation._FLAG_BLOCK] * 3 + [estimation._FLOAT_BLOCK]
+        for name in ("s_a", "b", "h", "omega", "s_b", "intensity"):
+            assert np.array_equal(getattr(back, name), getattr(log, name)), name
+
+    @pytest.mark.parametrize("text, message", [("1.0", None), ("0.5", "s_A = 0.5 is not one of (0, 1)")])
+    def test_int_via_float_warning_falls_back(self, tmp_path, monkeypatch, text, message):
+        # numpy before 2.4 parses an integer field spelled 1.0 or 0.5 as a float,
+        # casts it and only warns; the reader falls back to the float parse all the same
+        path, log = self.respelled_log(tmp_path, monkeypatch, 18, 0, text)
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(fh, *, dtype, max_rows, **kwargs):
+            lines = list(itertools.islice(fh, max_rows))
+            if dtype != estimation._FLAG_BLOCK:
+                return loadtxt(lines, dtype=dtype, max_rows=max_rows, **kwargs)
+            flags = [field for line in lines for k, field in enumerate(line.split(",")) if k != 3]
+            if not all(field.strip().lstrip("+-").isdigit() for field in flags):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt(lines, dtype=estimation._FLOAT_BLOCK, max_rows=max_rows, **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        if message is not None:
+            with pytest.raises(EstimationError, match=f"line 20: {re.escape(message)}$"):
+                read_signal_log(path)
+            return
+        back = read_signal_log(path)
+        for name in ("s_a", "b", "h", "omega", "s_b", "intensity"):
+            assert np.array_equal(getattr(back, name), getattr(log, name)), name
+
+    def test_read_holds_one_typed_block(self, tmp_path):
+        # beside the returned columns, the read holds one parse block of 13 B per
+        # record and np.loadtxt's buffers (about 1.0 MB together, measured); a
+        # float64 block of 48 B per record (3.1 MB) does not fit under 24 B per record
+        n = 1 << 17
+        path = tmp_path / "log.csv"
+        write_signal_log(path, make_log(n=n, seed=44, intensity=np.arange(n) % 3))
+        tracemalloc.start()
+        try:
+            log = read_signal_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(log, name).nbytes for name in ("s_a", "b", "h", "omega", "s_b", "intensity"))
+        assert peak - columns < 24 * estimation._READ_ROWS
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -47,7 +47,7 @@ from wmqkd.harness import (
     stage_block_generator,
     sweep,
 )
-from wmqkd.keyrate import SystemParams
+from wmqkd.keyrate import SystemParams, smoothed_rate
 from wmqkd.pointer import PointerConfig, wm_disturbance_error
 
 
@@ -636,6 +636,18 @@ class TestAnalyticMode:
         assert zero.to_text() == tiny.to_text()
         row, = sweep(ProtocolConfig(system=SystemParams(y0=0.0)), "system.eta_d", [0.0])
         assert row["rate_wm_decoy"] == row["rate_bb84_decoy"] == 0.0
+
+    def test_no_detections_is_no_key(self):
+        # the analytic report of a config without detections does not abort, so its
+        # key rate is the rate helper's: no signal-class gain, no key
+        cfg = ProtocolConfig(system=SystemParams(eta_d=0.0, y0=0.0))
+        report = analytic_report(cfg)
+        assert report.gains[0] == 0.0 and not report.abort
+        assert harness._estimated_key_rate(report, cfg) == 0.0
+        # without a decoy class the helper still falls back to the idealized rate
+        no_decoy = analytic_report(replace(cfg, system=SystemParams(y0=0.0)))
+        no_decoy.gains = (no_decoy.gains[0], 0.0, no_decoy.gains[2])
+        assert harness._estimated_key_rate(no_decoy, cfg) == smoothed_rate(no_decoy.qber) > 0.0
 
 
 @st.composite

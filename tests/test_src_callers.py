@@ -18,9 +18,7 @@ CALLER_FILES = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 # kept without a caller in the program, one reason each
 EXEMPT = {
     "strategy1_predicted_qber": "the paper's strategy-1 QBER signature (1 - alpha p_H)/2",
-    "strategy1_variance_ratio": "the paper's strategy-1 variance signature",
     "strategy2_qber_lower_bound": "the paper's strategy-2 QBER bound (1 - sigma_ratio p_b p_H)/2",
-    "strategy2_sigma_ratio_crossover": "the paper's strategy-2 variance-cap crossover",
     "biased_estimates_selective": "the paper's selective-bias estimates, the objective of optimal_bias_angles",
     "optimal_bias_angles": "the paper's optimal bias angles",
     "true_error_rates": "the paper's delta_X, delta_Z definitions of a channel",
